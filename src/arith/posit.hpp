@@ -72,16 +72,20 @@ struct PositCodec {
     if (e < -max_exponent) return Storage{1};
     const int k = e >> ES;  // arithmetic shift == floor division
     const auto ef = static_cast<std::uint64_t>(e - (k << ES));
-    detail::BitBuilder bb;
-    if (k >= 0) {
-      bb.put((2ull << (k + 1)) - 2, k + 2);  // (k+1) ones, then the 0 terminator
-    } else {
-      bb.put(1, -k + 1);  // (-k) zeros, then the 1 terminator
+    // Regime run plus terminator, left-aligned: (k+1) ones then a 0, or
+    // (-k) zeros then a 1. The range checks above bound it to N-1 bits.
+    const std::uint64_t regime = (k >= 0) ? ~0ull << (63 - k) : 1ull << (63 + k);
+    const int len = (k >= 0) ? k + 2 : 1 - k;
+    // Exponent field then the 63 fraction bits; the ES fraction bits that
+    // fall off the word lie past bit 64 of the payload string, so they (like
+    // the guard) are sticky.
+    std::uint64_t body = m << 1;
+    bool lost = guard || sticky;
+    if constexpr (ES > 0) {
+      lost = lost || (body << (64 - ES)) != 0;
+      body = (ef << (64 - ES)) | (body >> ES);
     }
-    bb.put(ef, ES);
-    bb.put(m & ((1ull << 63) - 1), 63);
-    bb.put(guard ? 1 : 0, 1);
-    return detail::round_payload<Storage>(N, bb.extract(N - 1), sticky);
+    return detail::round_word<N, Storage>(regime, len, body, lost);
   }
 };
 

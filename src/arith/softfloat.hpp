@@ -10,8 +10,9 @@
 //                         numbers except S.1111.111 which is NaN. Overflow
 //                         converts to NaN (OCP non-saturating mode).
 //
-// Arithmetic is performed by converting to double, computing, and rounding
-// back with round-to-nearest-even. Because 2*M + 2 <= 53 for every format
+// Arithmetic is performed by converting to double (assembling the double's
+// bits directly, no libm), computing, and rounding back with
+// round-to-nearest-even. Because 2*M + 2 <= 53 for every format
 // instantiated here (M <= 10), the double rounding is provably innocuous,
 // i.e. every operation is correctly rounded.
 #pragma once
@@ -185,13 +186,18 @@ class SoftFloat {
     } else {
       if (be == mask(E) && mf == mask(M)) return std::numeric_limits<double>::quiet_NaN();
     }
-    double mag;
     if (be == 0) {
-      mag = std::ldexp(static_cast<double>(mf), kEmin - M);
-    } else {
-      mag = std::ldexp(static_cast<double>((1ull << M) | mf), static_cast<int>(be) + kEmin - 1 - M);
+      // Subnormal (or zero): mf times the quantum 2^(kEmin - M), itself a
+      // normal double, so the product is exact.
+      constexpr double quantum =
+          std::bit_cast<double>(static_cast<std::uint64_t>(kEmin - M + 1023) << 52);
+      const double mag = static_cast<double>(mf) * quantum;
+      return neg ? -mag : mag;
     }
-    return neg ? -mag : mag;
+    // Normal: rebias the exponent and left-align the mantissa field.
+    const auto biased = static_cast<std::uint64_t>(static_cast<int>(be) - kBias + 1023);
+    return std::bit_cast<double>((static_cast<std::uint64_t>(neg) << 63) | (biased << 52) |
+                                 (static_cast<std::uint64_t>(mf) << (52 - M)));
   }
 
   explicit constexpr operator double() const noexcept { return to_double(); }

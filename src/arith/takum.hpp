@@ -78,13 +78,12 @@ struct TakumCodec {
       cbits = 7 - rho;
       c_field = static_cast<std::uint64_t>(e + (1 << (8 - rho)) - 1);
     }
-    detail::BitBuilder bb;
-    bb.put(static_cast<std::uint64_t>(d), 1);
-    bb.put(static_cast<std::uint64_t>(rho), 3);
-    bb.put(c_field, cbits);
-    bb.put(m & ((1ull << 63) - 1), 63);
-    bb.put(guard ? 1 : 0, 1);
-    return detail::round_payload<Storage>(N, bb.extract(N - 1), sticky);
+    // D|R|C prefix (at most 11 bits), left-aligned, then the 63 fraction
+    // bits. The guard lies past bit 64 of the payload string: sticky.
+    const std::uint64_t prefix = (static_cast<std::uint64_t>(d) << 63) |
+                                 (static_cast<std::uint64_t>(rho) << 60) |
+                                 (c_field << (60 - cbits));
+    return detail::round_word<N, Storage>(prefix, 4 + cbits, m << 1, guard || sticky);
   }
 };
 

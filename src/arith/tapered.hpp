@@ -36,62 +36,35 @@ struct Unpacked {
 
 namespace detail {
 
-/// Assembles an "infinitely precise" encoding from the top down into a
-/// 128-bit accumulator; bits pushed past the bottom turn into sticky.
-class BitBuilder {
- public:
-  void put(std::uint64_t bits, int width) noexcept {
-    if (width <= 0) return;
-    if (width < 64) bits &= (1ull << width) - 1;
-    pos_ -= width;
-    if (pos_ >= 0) {
-      acc_ |= static_cast<u128>(bits) << pos_;
-      return;
-    }
-    const int below = -pos_;
-    if (below >= width) {
-      sticky_ = sticky_ || bits != 0;
-      return;
-    }
-    acc_ |= static_cast<u128>(bits) >> below;
-    const std::uint64_t lost = bits & ((below >= 64) ? ~0ull : ((1ull << below) - 1));
-    sticky_ = sticky_ || lost != 0;
-  }
-
-  struct Extracted {
-    std::uint64_t payload;
-    bool guard;
-    bool rest;
-  };
-
-  /// Take the top `width` bits (width <= 63) as the payload; the next bit is
-  /// the guard, everything below (plus overflow sticky) is `rest`.
-  [[nodiscard]] Extracted extract(int width) const noexcept {
-    Extracted r{};
-    r.payload = static_cast<std::uint64_t>(acc_ >> (128 - width));
-    r.guard = (acc_ >> (128 - width - 1)) & 1;
-    r.rest = ((acc_ << (width + 1)) != 0) || sticky_;
-    return r;
-  }
-
- private:
-  u128 acc_ = 0;
-  int pos_ = 128;
-  bool sticky_ = false;
-};
-
 /// Encoding-level round-to-nearest-even with posit/takum saturation:
 /// payload+1 on round-up; never produces 0 (minpos clamp) and never crosses
 /// into the NaR pattern (maxpos clamp).
 template <typename Storage>
-[[nodiscard]] Storage round_payload(int nbits, BitBuilder::Extracted x, bool extra_sticky) noexcept {
-  const bool rest = x.rest || extra_sticky;
-  std::uint64_t p = x.payload;
-  if (x.guard && (rest || (p & 1))) ++p;
+[[nodiscard]] Storage round_payload(int nbits, std::uint64_t payload, bool round,
+                                    bool rest) noexcept {
+  std::uint64_t p = payload;
+  if (round && (rest || (p & 1))) ++p;
   const std::uint64_t top = 1ull << (nbits - 1);
   if (p >= top) p = top - 1;  // saturate below NaR
   if (p == 0) p = 1;          // never round a non-zero value to zero
   return static_cast<Storage>(p);
+}
+
+/// Rounds the "infinitely precise" payload string prefix ++ body to the
+/// N-1 bits after the sign. `prefix` holds the exponent prefix
+/// left-aligned in one word (`len` bits, 1 <= len <= 63); `body` holds the
+/// bits that follow it, left-aligned. Everything past the word's 64th bit
+/// is only ever sticky, so the caller folds any body bits it had to drop
+/// (and the operation's guard and sticky) into `sticky`.
+template <int N, typename Storage>
+[[nodiscard]] Storage round_word(std::uint64_t prefix, int len, std::uint64_t body,
+                                 bool sticky) noexcept {
+  const std::uint64_t word = prefix | (body >> len);
+  sticky = sticky || (body << (64 - len)) != 0;
+  constexpr int low = 64 - N;  // bits of the word below the round bit
+  const bool round = (word >> low) & 1;
+  const bool rest = sticky || (word & ((std::uint64_t{1} << low) - 1)) != 0;
+  return round_payload<Storage>(N, word >> (low + 1), round, rest);
 }
 
 [[nodiscard]] constexpr int bitlen(unsigned v) noexcept {

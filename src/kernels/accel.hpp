@@ -1,9 +1,9 @@
 // Lookup-table acceleration for the ≤16-bit formats.
 //
 // Every inner-loop scalar operation of the study's kernels normally pays
-// full software emulation: SoftFloat round-trips through double (ldexp on
-// both sides) and TaperedFloat runs a 128-bit exact-significand engine per
-// element. For narrow formats the whole operation space is small enough to
+// full software emulation: SoftFloat round-trips through double (bit
+// assembly on both sides) and TaperedFloat runs a 128-bit exact-significand
+// engine per element. For narrow formats the whole operation space is small enough to
 // precompute, so this header provides three acceleration tiers, selected
 // per scalar type at compile time:
 //

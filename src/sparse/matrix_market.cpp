@@ -45,6 +45,17 @@ struct LineReader {
   fail("line " + std::to_string(lineno) + ": " + what);
 }
 
+/// Triplet indices are uint32_t, so neither dimension may exceed 2^32-1.
+constexpr long long kMaxDim = 0xffffffffLL;
+
+/// Up-front reservation cap: a header's entry count is only a claim, so
+/// storage beyond this grows as entries are actually read.
+constexpr std::size_t kMaxReserve = std::size_t{1} << 20;
+
+void check_dims(long lineno, long long rows, long long cols) {
+  if (rows > kMaxDim || cols > kMaxDim) fail_at(lineno, "dimension exceeds 2^32-1");
+}
+
 }  // namespace
 
 CooMatrix read_matrix_market(std::istream& in, MatrixMarketHeader* header) {
@@ -88,8 +99,16 @@ CooMatrix read_matrix_market(std::istream& in, MatrixMarketHeader* header) {
     if (size_line.fail() || rows < 0 || cols < 0 || entries < 0) {
       fail_at(reader.lineno, "bad size line");
     }
+    check_dims(reader.lineno, rows, cols);
+    // Both dimensions fit 32 bits, so their product cannot overflow.
+    if (static_cast<unsigned long long>(entries) >
+        static_cast<unsigned long long>(rows) * static_cast<unsigned long long>(cols)) {
+      fail_at(reader.lineno, "entry count exceeds rows*cols");
+    }
     coo.set_shape(static_cast<std::size_t>(rows), static_cast<std::size_t>(cols));
-    coo.reserve(static_cast<std::size_t>(entries) * (h.symmetry == "general" ? 1 : 2));
+    const std::size_t stored =
+        static_cast<std::size_t>(entries) * (h.symmetry == "general" ? 1 : 2);
+    coo.reserve(std::min(stored, kMaxReserve));
     for (long long k = 0; k < entries; ++k) {
       if (!reader.next_data_line(line)) fail_at(reader.lineno, "unexpected EOF in entries");
       std::istringstream e(line);
@@ -112,6 +131,7 @@ CooMatrix read_matrix_market(std::istream& in, MatrixMarketHeader* header) {
     long long rows = 0, cols = 0;
     size_line >> rows >> cols;
     if (size_line.fail() || rows < 0 || cols < 0) fail_at(reader.lineno, "bad size line");
+    check_dims(reader.lineno, rows, cols);
     coo.set_shape(static_cast<std::size_t>(rows), static_cast<std::size_t>(cols));
     // Array data is column-major; symmetric storage lists the lower
     // triangle, skew-symmetric the *strictly* lower triangle (the diagonal

@@ -1,7 +1,8 @@
 // Allocation-free hot-loop tests: a global operator-new hook counts heap
 // allocations and asserts the steady-state Arnoldi inner loop performs
 // none, and golden digests pin partialschur's results bit-for-bit to the
-// pre-workspace-refactor implementation across all <=16-bit formats.
+// pre-workspace-refactor implementation across all <=16-bit formats and
+// to recorded digests for the 32/64-bit posit and takum formats.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -196,6 +197,32 @@ TEST(PartialSchurBitIdentity, MatchesPreRefactorGoldensForNarrowFormats) {
   check("bf16", partialschur_digest<BFloat16>(a, start));
   check("p16", partialschur_digest<Posit16>(a, start));
   check("t16", partialschur_digest<Takum16>(a, start));
+}
+
+// The 32/64-bit tapered formats have no exhaustive codec test (their
+// operand spaces are too large), so these digests are what pins their
+// encode path end to end. Captured from the BitBuilder-based codecs that
+// preceded the word-level encode, on the same matrix and start vector.
+TEST(PartialSchurBitIdentity, MatchesGoldensForWideTaperedFormats) {
+  const std::map<std::string, Hash128> golden = {
+      {"p32", {0x4700d8f3e2eec4c6ull, 0x93262b74464ad46bull}},
+      {"t32", {0xe6468bc304f7b755ull, 0x86c52620160bd54cull}},
+      {"p64", {0x54fa3294ed648873ull, 0xaf8ce13fb0445d26ull}},
+      {"t64", {0xe433b437fc831194ull, 0xac09946aaca6a84eull}},
+  };
+  const CsrMatrix<double> a = workspace_matrix();
+  const std::vector<double> start = golden_start(a.rows());
+
+  const auto check = [&](const char* key, const Hash128& digest) {
+    const auto it = golden.find(key);
+    ASSERT_NE(it, golden.end());
+    EXPECT_EQ(digest, it->second) << "partialschur<" << key << "> diverged from the "
+                                  << "recorded bits";
+  };
+  check("p32", partialschur_digest<Posit32>(a, start));
+  check("t32", partialschur_digest<Takum32>(a, start));
+  check("p64", partialschur_digest<Posit64>(a, start));
+  check("t64", partialschur_digest<Takum64>(a, start));
 }
 
 // The LUT fast paths (including the precomputed-offset SpMV the 8-bit

@@ -208,6 +208,57 @@ TEST(MatrixMarketMalformed, BadSizeLine) {
   EXPECT_THROW(read_matrix_market(negative), std::runtime_error);
 }
 
+/// The message of the runtime_error `text` raises when read.
+std::string read_error(const std::string& text) {
+  std::istringstream in(text);
+  try {
+    (void)read_matrix_market(in);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(MatrixMarketMalformed, HugeEntryCountRejectedBeforeAllocating) {
+  const std::string msg = read_error(
+      "%%MatrixMarket matrix coordinate real general\n"
+      "3 3 4000000000000000000\n");
+  EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("exceeds rows*cols"), std::string::npos) << msg;
+  // One more than rows*cols is already too many.
+  EXPECT_NE(read_error("%%MatrixMarket matrix coordinate real general\n"
+                       "2 3 7\n")
+                .find("exceeds rows*cols"),
+            std::string::npos);
+}
+
+TEST(MatrixMarketMalformed, DimensionsAbove32BitsRejected) {
+  // Row/column indices are stored as uint32_t; a larger dimension would
+  // silently truncate them.
+  const std::string rows = read_error(
+      "%%MatrixMarket matrix coordinate real general\n"
+      "% comment\n"
+      "4294967296 2 1\n"
+      "4294967296 1 1.0\n");
+  EXPECT_NE(rows.find("line 3"), std::string::npos) << rows;
+  EXPECT_NE(rows.find("2^32-1"), std::string::npos) << rows;
+  const std::string cols = read_error(
+      "%%MatrixMarket matrix array real general\n"
+      "1 5000000000\n");
+  EXPECT_NE(cols.find("line 2"), std::string::npos) << cols;
+  EXPECT_NE(cols.find("2^32-1"), std::string::npos) << cols;
+}
+
+TEST(MatrixMarketMalformed, LargeDeclaredCountWithShortBodyFailsCleanly) {
+  // A plausible but unfulfilled entry count must not be trusted for the
+  // allocation: the reader reports the truncation, not bad_alloc.
+  const std::string msg = read_error(
+      "%%MatrixMarket matrix coordinate real general\n"
+      "4294967295 4294967295 1000000000000\n"
+      "1 1 1.0\n");
+  EXPECT_NE(msg.find("unexpected EOF"), std::string::npos) << msg;
+}
+
 TEST(MatrixMarketMalformed, NonNumericEntryValue) {
   std::istringstream in(
       "%%MatrixMarket matrix coordinate real general\n"
