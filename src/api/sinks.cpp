@@ -51,26 +51,6 @@ void CsvSink::on_done(const SweepResult& r) {
 }
 
 // ---------------------------------------------------------------------------
-// JournalSink
-// ---------------------------------------------------------------------------
-
-JournalSink::JournalSink(std::string path)
-    : path_(std::move(path)),
-      writer_(std::make_unique<JournalWriter>(path_, /*truncate=*/true)) {}
-
-void JournalSink::on_meta(const SweepMeta& m) {
-  writer_->write_meta(make_journal_meta(m.config, m.formats, m.matrix_count));
-}
-
-void JournalSink::on_run(const RunEvent& e) {
-  writer_->write_run(e.matrix, e.n, e.nnz, e.run);
-}
-
-void JournalSink::on_reference(const ReferenceEvent& e) {
-  writer_->write_reference_failure(e.matrix, e.n, e.nnz, e.failure);
-}
-
-// ---------------------------------------------------------------------------
 // MemorySink
 // ---------------------------------------------------------------------------
 

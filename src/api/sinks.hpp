@@ -10,10 +10,10 @@
 // and never run concurrently with themselves or each other.
 //
 // Provided sinks: CsvSink (raw results CSV, byte-identical to
-// write_results_csv), JournalSink (JSONL event journal in the checkpoint
-// format), MemorySink (records everything, for tests and in-process
-// consumers), ProgressSink (stderr progress line with ETA), MultiSink
-// (fan-out). Sweep::sink() already fans out, so MultiSink is for nesting
+// write_results_csv), MemorySink (records everything, for tests and
+// in-process consumers), ProgressSink (stderr progress line with ETA),
+// MultiSink (fan-out). The event journal is written by the engine itself
+// (Sweep::checkpoint), not by a sink. Sweep::sink() already fans out, so MultiSink is for nesting
 // pipelines inside code that only accepts a single sink.
 #pragma once
 
@@ -125,23 +125,6 @@ class CsvSink final : public ResultSink {
  private:
   std::string path_;
   bool skipped_ = false;
-};
-
-/// Streams the event log as a JSONL journal in the checkpoint format
-/// (meta / run / reference lines, flushed per event). Unlike
-/// Sweep::checkpoint() — which journals through the engine and powers
-/// resume — this sink just records; it always truncates its file.
-class JournalSink final : public ResultSink {
- public:
-  explicit JournalSink(std::string path);
-  void on_meta(const SweepMeta& m) override;
-  void on_run(const RunEvent& e) override;
-  void on_reference(const ReferenceEvent& e) override;
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
-
- private:
-  std::string path_;
-  std::unique_ptr<JournalWriter> writer_;
 };
 
 /// Records every event in arrival order; for tests and in-process

@@ -83,14 +83,9 @@ void random_direction(std::size_t n, Rng& rng, T* w) {
 
 }  // namespace detail
 
-/// The post-matvec tail of one Arnoldi step: assumes ws.w already holds
-/// A v_j (callers run the matvec — singly via arnoldi_step, or batched
-/// across several independent expansions via arnoldi_step_batch, which is
-/// what makes the split worthwhile: the matvec is the only part of a step
-/// that can amortize over lanes; everything from here on is sequential in
-/// j). Orthogonalizes ws.w against V[:, 0..j], stores coefficients into
-/// s(0..j, j) and the subdiagonal beta into s(j+1, j), writes
-/// v_{j+1} = w/beta.
+/// One Arnoldi step: w = A v_j, orthogonalized against V[:, 0..j];
+/// coefficients go into s(0..j, j), the subdiagonal beta into s(j+1, j),
+/// and v_{j+1} = w/beta.
 ///
 /// On invariant-subspace breakdown (beta ~ 0) the subdiagonal is set to
 /// exact zero and a fresh random direction (orthogonalized) continues the
@@ -98,11 +93,12 @@ void random_direction(std::size_t n, Rng& rng, T* w) {
 ///
 /// `ws` must be reserve()d for (v.rows(), at least j+1); all scratch comes
 /// from it, so the regular path allocates nothing.
-template <typename T>
-ExpandStatus arnoldi_finish_step(DenseMatrix<T>& v, DenseMatrix<T>& s, std::size_t j, Rng& rng,
-                                 ArnoldiWorkspace<T>& ws) {
+template <typename T, class Op>
+ExpandStatus arnoldi_step(const Op& a, DenseMatrix<T>& v, DenseMatrix<T>& s, std::size_t j,
+                          Rng& rng, ArnoldiWorkspace<T>& ws) {
   const std::size_t n = v.rows();
   T* const w = ws.w.data();
+  a.matvec(v.col(j), w);
 
   const T norm_before = kernels::nrm2(n, w);
   if (!is_number(norm_before)) return ExpandStatus::failed;
@@ -150,15 +146,6 @@ ExpandStatus arnoldi_finish_step(DenseMatrix<T>& v, DenseMatrix<T>& s, std::size
   return ExpandStatus::failed;
 }
 
-/// One Arnoldi step: w = A v_j, then the orthogonalization/breakdown tail
-/// (arnoldi_finish_step above).
-template <typename T, class Op>
-ExpandStatus arnoldi_step(const Op& a, DenseMatrix<T>& v, DenseMatrix<T>& s, std::size_t j,
-                          Rng& rng, ArnoldiWorkspace<T>& ws) {
-  a.matvec(v.col(j), ws.w.data());
-  return arnoldi_finish_step(v, s, j, rng, ws);
-}
-
 /// Convenience overload with a throwaway workspace (one-off call sites).
 template <typename T, class Op>
 ExpandStatus arnoldi_step(const Op& a, DenseMatrix<T>& v, DenseMatrix<T>& s, std::size_t j,
@@ -166,51 +153,6 @@ ExpandStatus arnoldi_step(const Op& a, DenseMatrix<T>& v, DenseMatrix<T>& s, std
   ArnoldiWorkspace<T> ws;
   ws.reserve(v.rows(), j + 1);
   return arnoldi_step(a, v, s, j, rng, ws);
-}
-
-/// One independent Arnoldi expansion participating in a batched step: its
-/// own basis, Rayleigh matrix, step index, RNG and workspace — only the
-/// operator is shared. status receives the lane's ExpandStatus after each
-/// arnoldi_step_batch call.
-template <typename T>
-struct ArnoldiBatchLane {
-  DenseMatrix<T>* v = nullptr;
-  DenseMatrix<T>* s = nullptr;
-  std::size_t j = 0;
-  Rng* rng = nullptr;
-  ArnoldiWorkspace<T>* ws = nullptr;
-  ExpandStatus status = ExpandStatus::ok;
-};
-
-/// Advance k independent Arnoldi expansions of the same operator by one
-/// step each, batching the k matvecs into one a.matvec_block call (one
-/// traversal of A; kernels/spmm.hpp) and then running each lane's
-/// sequential tail. Bit-identical to calling arnoldi_step per lane — the
-/// matvec block is bit-identical to k matvecs by the SpMM contract, and
-/// the tails are the very same code on the very same inputs.
-///
-/// All lanes must have v->rows() == a's dimension and a reserve()d
-/// workspace. xblk/wblk are caller-owned staging buffers (grown here,
-/// recycled across calls — the steady-state path allocates nothing once
-/// they are warm).
-template <typename T, class Op>
-void arnoldi_step_batch(const Op& a, ArnoldiBatchLane<T>* lanes, std::size_t k,
-                        std::vector<T>& xblk, std::vector<T>& wblk) {
-  if (k == 0) return;
-  const std::size_t n = lanes[0].v->rows();
-  if (xblk.size() < n * k) xblk.resize(n * k);
-  if (wblk.size() < n * k) wblk.resize(n * k);
-  for (std::size_t c = 0; c < k; ++c) {
-    const T* src = lanes[c].v->col(lanes[c].j);
-    std::copy(src, src + n, xblk.data() + c * n);
-  }
-  a.matvec_block(xblk.data(), n, k, wblk.data(), n);
-  for (std::size_t c = 0; c < k; ++c) {
-    ArnoldiBatchLane<T>& lane = lanes[c];
-    const T* src = wblk.data() + c * n;
-    std::copy(src, src + n, lane.ws->w.data());
-    lane.status = arnoldi_finish_step(*lane.v, *lane.s, lane.j, *lane.rng, *lane.ws);
-  }
 }
 
 }  // namespace mfla

@@ -1,375 +1,21 @@
-// Runtime-dispatched SIMD backend: capability detection and the runtime
-// ISA ladder for the vectorized 8-bit LUT kernels (kernels/simd_avx2.hpp,
-// kernels/simd_avx512.hpp).
+// Provenance report for the 8-bit kernel path.
 //
-// The SIMD paths are a third acceleration tier on top of the LUT layer
-// (kernels/accel.hpp): they walk the very same 256×256 operation tables in
-// the very same order as the scalar LUT kernels, so they are bit-identical
-// by construction — `vpgatherdd` fetches table entries for eight (AVX2) or
-// sixteen (AVX-512) lanes at once, `pshufb`/`vpermi2b` resolve 256-entry
-// single-row lookups in registers, but every lane's accumulation chain is
-// the scalar chain.
-//
-// Dispatch is an ISA ladder, each rung falling back to the next:
-//
-//   compile time   MFLA_ENABLE_SIMD (CMake option, mirrors MFLA_ENABLE_LUT)
-//                  && MFLA_ENABLE_LUT (the tables are the data the SIMD
-//                  kernels gather from) && an x86 GCC/Clang toolchain
-//                  -> MFLA_SIMD_COMPILED (the AVX2 rung); additionally
-//                  MFLA_ENABLE_AVX512 -> MFLA_SIMD_AVX512_COMPILED
-//   process start  the MFLA_SIMD environment variable seeds the runtime
-//                  level: "0"/"off"/"false"/"scalar" pin the scalar LUT
-//                  kernels, "avx2" caps the ladder at AVX2, "avx512"
-//                  allows the AVX-512 rung, anything else ("1", "auto",
-//                  unset) means best-available
-//   runtime        set_simd_level()/set_simd_enabled() move the cap;
-//                  the host ISA probe (__builtin_cpu_supports, cached
-//                  once per process) gates what actually executes
-//
-// Kernels pick the best rung their gate admits, per function: the
-// gather kernels need AVX-512F/BW, the in-register decode-table kernels
-// additionally need VBMI — a host with F/BW but no VBMI runs the former
-// at the avx512 rung and the latter at the avx2 rung. Everything degrades
-// to the scalar LUT kernels, and below those to the exact engines —
-// slower, never different.
+// The 8-bit formats run the scalar LUT kernels (kernels/accel.hpp,
+// kernels/vector_ops.hpp) and the SELL-8 SpMV (kernels/spmv.hpp), both
+// plain portable code with no ISA dispatch. Benchmarks still record which
+// instruction set the kernels ran on; this header answers that question,
+// and the answer is always "scalar".
 #pragma once
-
-#include <atomic>
-#include <cstdint>
-#include <cstdlib>
-#include <cstring>
-#include <type_traits>
-#include <vector>
-
-#ifndef MFLA_ENABLE_LUT
-#define MFLA_ENABLE_LUT 1
-#endif
-#ifndef MFLA_ENABLE_SIMD
-#define MFLA_ENABLE_SIMD 1
-#endif
-#ifndef MFLA_ENABLE_AVX512
-#define MFLA_ENABLE_AVX512 1
-#endif
-
-#if MFLA_ENABLE_SIMD && MFLA_ENABLE_LUT && (defined(__x86_64__) || defined(__i386__)) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define MFLA_SIMD_COMPILED 1
-#else
-#define MFLA_SIMD_COMPILED 0
-#endif
-
-#if MFLA_SIMD_COMPILED && MFLA_ENABLE_AVX512
-#define MFLA_SIMD_AVX512_COMPILED 1
-#else
-#define MFLA_SIMD_AVX512_COMPILED 0
-#endif
 
 namespace mfla {
 namespace kernels {
 
-/// Runtime cap on the ISA ladder. Each kernel dispatches to the highest
-/// rung that is (a) at or below the cap, (b) compiled in, and (c) executed
-/// by the host CPU — so `avx512` on an AVX2-only host runs the AVX2
-/// kernels, and `auto_` is simply "no cap".
-enum class SimdLevel : int {
-  scalar = 0,  ///< pin the scalar LUT kernels (vector tiers off)
-  avx2 = 1,    ///< allow the AVX2 rung only
-  avx512 = 2,  ///< allow up to the AVX-512 rung
-  auto_ = 3,   ///< best available (the default)
-};
-
-/// Does the MFLA_SIMD environment value ask for SIMD to start disabled?
-/// Exposed (rather than buried in the initializer) so tests can pin the
-/// parsing contract without spawning subprocesses.
-[[nodiscard]] inline bool simd_env_requests_off(const char* value) noexcept {
-  if (value == nullptr) return false;
-  return std::strcmp(value, "0") == 0 || std::strcmp(value, "off") == 0 ||
-         std::strcmp(value, "OFF") == 0 || std::strcmp(value, "false") == 0;
-}
-
-/// Parse the MFLA_SIMD environment value into a ladder cap. The off
-/// tokens and "scalar" pin scalar; "avx2"/"avx512" cap at that rung;
-/// everything else (including unset, "1", "auto", "on") is best-available.
-[[nodiscard]] inline SimdLevel simd_env_level(const char* value) noexcept {
-  if (value == nullptr) return SimdLevel::auto_;
-  if (simd_env_requests_off(value) || std::strcmp(value, "scalar") == 0)
-    return SimdLevel::scalar;
-  if (std::strcmp(value, "avx2") == 0) return SimdLevel::avx2;
-  if (std::strcmp(value, "avx512") == 0) return SimdLevel::avx512;
-  return SimdLevel::auto_;
-}
-
-namespace detail {
-
-[[nodiscard]] inline std::atomic<int>& simd_level_flag() noexcept {
-  static std::atomic<int> flag{
-      static_cast<int>(simd_env_level(std::getenv("MFLA_SIMD")))};
-  return flag;
-}
-
-/// Host ISA flags, probed once per process (a __builtin_cpu_supports call
-/// is a cpuid-backed table walk — cheap, but the dispatch predicates sit
-/// on kernel hot paths and the answers cannot change while we run).
-struct HostIsa {
-  bool avx2 = false;
-  bool avx512f = false;
-  bool avx512bw = false;
-  bool avx512vbmi = false;
-};
-
-[[nodiscard]] inline const HostIsa& host_isa() noexcept {
-  static const HostIsa probed = [] {
-    HostIsa h;
-#if MFLA_SIMD_COMPILED
-    h.avx2 = __builtin_cpu_supports("avx2") != 0;
-#endif
-#if MFLA_SIMD_AVX512_COMPILED
-    h.avx512f = __builtin_cpu_supports("avx512f") != 0;
-    h.avx512bw = __builtin_cpu_supports("avx512bw") != 0;
-    h.avx512vbmi = __builtin_cpu_supports("avx512vbmi") != 0;
-#endif
-    return h;
-  }();
-  return probed;
-}
-
-}  // namespace detail
-
-/// Were the SIMD kernels compiled into this build?
-[[nodiscard]] constexpr bool simd_compiled() noexcept { return MFLA_SIMD_COMPILED != 0; }
-
-/// Was the AVX-512 rung compiled into this build? (MFLA_ENABLE_AVX512 on
-/// top of everything simd_compiled() requires.)
-[[nodiscard]] constexpr bool simd_avx512_compiled() noexcept {
-  return MFLA_SIMD_AVX512_COMPILED != 0;
-}
-
-/// Does the host CPU execute the base SIMD ISA (AVX2)? Always false when
-/// the kernels are compiled out.
-[[nodiscard]] inline bool simd_supported() noexcept {
-  return simd_compiled() && detail::host_isa().avx2;
-}
-
-/// Does the host CPU execute the AVX-512 gather kernels (F + BW)? Always
-/// false when the AVX-512 rung is compiled out.
-[[nodiscard]] inline bool simd_avx512_supported() noexcept {
-  return simd_avx512_compiled() && detail::host_isa().avx512f && detail::host_isa().avx512bw;
-}
-
-/// Does the host CPU additionally execute the in-register `vpermi2b`
-/// decode-table kernels (VBMI)?
-[[nodiscard]] inline bool simd_vbmi_supported() noexcept {
-  return simd_avx512_supported() && detail::host_isa().avx512vbmi;
-}
-
-/// The runtime ladder cap (independent of CPU support; defaults to
-/// best-available unless the MFLA_SIMD environment variable said
-/// otherwise).
-[[nodiscard]] inline SimdLevel simd_level() noexcept {
-  return static_cast<SimdLevel>(detail::simd_level_flag().load(std::memory_order_relaxed));
-}
-
-/// Move the ladder cap at runtime; returns the previous cap. Raising it
-/// only takes effect where the host/compile gates hold.
-inline SimdLevel set_simd_level(SimdLevel level) noexcept {
-  return static_cast<SimdLevel>(detail::simd_level_flag().exchange(
-      static_cast<int>(level), std::memory_order_relaxed));
-}
-
-/// Is any vector rung allowed by the runtime cap? (The boolean view of the
-/// ladder, kept for callers that only care about on/off.)
-[[nodiscard]] inline bool simd_enabled() noexcept {
-  return simd_level() != SimdLevel::scalar;
-}
-
-/// Boolean toggle over the ladder: off pins scalar, on restores
-/// best-available. Returns whether any vector rung was previously allowed.
-inline bool set_simd_enabled(bool on) noexcept {
-  return set_simd_level(on ? SimdLevel::auto_ : SimdLevel::scalar) != SimdLevel::scalar;
-}
-
-/// Will the dispatching kernels vectorize at all? (Some rung compiled in,
-/// host executes AVX2, cap above scalar. Call sites combine this with
-/// lut_enabled() — the SIMD kernels gather from the LUT tier's tables.)
-[[nodiscard]] inline bool simd_active() noexcept {
-  return simd_compiled() && simd_supported() &&
-         static_cast<int>(simd_level()) >= static_cast<int>(SimdLevel::avx2);
-}
-
-/// Will the AVX-512 gather kernels (F/BW: 16-lane vpgatherdd, SELL-16
-/// SpMV, 16-lane spmm/dot_block) dispatch?
-[[nodiscard]] inline bool simd_avx512_active() noexcept {
-  return simd_avx512_supported() && simd_supported() &&
-         static_cast<int>(simd_level()) >= static_cast<int>(SimdLevel::avx512);
-}
-
-/// Will the VBMI decode-table kernels (in-register vpermi2b 256-entry
-/// lookups) dispatch? Independent of the gather gate per function: a host
-/// with F/BW but no VBMI still runs the gather kernels.
-[[nodiscard]] inline bool simd_vbmi_active() noexcept {
-  return simd_vbmi_supported() && simd_supported() &&
-         static_cast<int>(simd_level()) >= static_cast<int>(SimdLevel::avx512);
-}
-
-/// Capability report, for diagnostics and the dispatch tests. The
-/// compiled/host fields come from the one-time probe; only the runtime
-/// cap varies between calls.
+/// What the 8-bit kernels dispatch to.
 struct SimdCaps {
-  bool compiled;         ///< built with MFLA_ENABLE_SIMD on an x86 toolchain
-  bool avx512_compiled;  ///< AVX-512 rung also built (MFLA_ENABLE_AVX512)
-  bool avx2;             ///< host CPU executes AVX2
-  bool avx512f;          ///< host CPU executes AVX-512F
-  bool avx512bw;         ///< host CPU executes AVX-512BW
-  bool avx512vbmi;       ///< host CPU executes AVX-512VBMI
-  bool enabled;          ///< runtime cap above scalar
-  SimdLevel level;       ///< the runtime cap itself
-  bool active;           ///< some vector rung dispatches
-  bool avx512_active;    ///< the AVX-512 gather rung dispatches
-  bool vbmi_active;      ///< the VBMI decode rung dispatches
-  const char* isa;       ///< best dispatching rung: "avx512", "avx2", "scalar"
+  const char* isa;  ///< "scalar": there is no vector rung
 };
 
-[[nodiscard]] inline SimdCaps simd_caps() noexcept {
-  const detail::HostIsa& host = detail::host_isa();
-  SimdCaps caps;
-  caps.compiled = simd_compiled();
-  caps.avx512_compiled = simd_avx512_compiled();
-  caps.avx2 = host.avx2;
-  caps.avx512f = host.avx512f;
-  caps.avx512bw = host.avx512bw;
-  caps.avx512vbmi = host.avx512vbmi;
-  caps.enabled = simd_enabled();
-  caps.level = simd_level();
-  caps.active = simd_active();
-  caps.avx512_active = simd_avx512_active();
-  caps.vbmi_active = simd_vbmi_active();
-  caps.isa = caps.avx512_active ? "avx512" : (caps.active ? "avx2" : "scalar");
-  return caps;
-}
-
-// -- SELL-C execution plans (shared by the vector SpMV rungs) ---------------
-
-/// Sliced-ELL layout over the offset plan: rows are grouped into slices of
-/// `height` consecutive rows, padded to the longest row in the slice, with
-/// one fused word (offset << 16) | col per (padded) nonzero stored
-/// lane-interleaved (fused[base + height * t + c] is row c's t-th entry).
-/// Pad entries replicate the row's last real nonzero so every load stays
-/// in range; their results are discarded by the t < len guard in the
-/// kernels. Height 8 feeds the interleaved-scalar AVX2-tier kernel
-/// (kernels/spmv.hpp), height 16 the AVX-512 gather kernel
-/// (kernels/simd_avx512.hpp). Built once per matrix alongside the offset
-/// plan (sparse/csr.hpp) and invalidated with it.
-struct SellPlan {
-  static constexpr std::uint32_t kMaxHeight = 16;
-  struct Slice {
-    std::uint32_t base = 0;  ///< first fused word of the slice
-    std::uint32_t maxl = 0;  ///< longest row in the slice
-    std::uint32_t len[kMaxHeight] = {};  ///< row lengths (0 past the last row)
-  };
-  std::uint32_t height = 8;  ///< rows per slice (8 or 16)
-  std::uint32_t cols = 0;    ///< x length the fused col indices address
-  std::vector<Slice> slices;
-  std::vector<std::uint32_t> fused;
-  bool valid = false;
-
-  void clear() noexcept {
-    slices.clear();
-    fused.clear();
-    valid = false;
-  }
-};
-
-/// Production-dispatch switch for the SELL-16 gather SpMV
-/// (simd512::spmv_sell16_bits). Measured on AVX-512 hardware
-/// (bench_kernel_accel, 512-row Laplacians): the 16-lane gather
-/// formulation loses to the SELL-8 interleaved-scalar kernel by
-/// ~1.4-1.8x (Posit8 7.8us vs 4.3us, Takum8 6.2us vs 4.5us) — the
-/// per-nonzero x->mul gathers chain, and a chained gather still costs
-/// ~4x a chained scalar load even at sixteen lanes. The dispatcher is
-/// therefore pinned to the SELL-8 rung; the kernel, its plan builder and
-/// its exhaustive identity tests stay (flip this to re-evaluate on a
-/// core with cheaper chained gathers). See docs/PERFORMANCE.md.
-inline constexpr bool kSpmvSell16Dispatch = false;
-
-/// Build a SELL plan of the given slice height, or an invalid one when the
-/// layout cannot help: columns beyond 16 bits (they must fit the fused
-/// word), or row lengths so skewed that slice padding would blow the plan
-/// past ~4x the nonzero count (the planned scalar loop is the fallback,
-/// slower never wrong).
-[[nodiscard]] inline SellPlan build_sell_plan(std::size_t rows, std::size_t cols,
-                                              const std::uint32_t* row_ptr,
-                                              const std::uint32_t* col_idx,
-                                              const std::uint16_t* offsets,
-                                              std::size_t height = 8) {
-  SellPlan p;
-  p.height = static_cast<std::uint32_t>(height);
-  p.cols = static_cast<std::uint32_t>(cols);
-  if (rows == 0 || cols > 65536 || height == 0 || height > SellPlan::kMaxHeight) return p;
-  const std::size_t h = height;
-  std::size_t padded = 0;
-  for (std::size_t r = 0; r < rows; r += h) {
-    std::uint32_t maxl = 0;
-    for (std::size_t c = 0; c < h && r + c < rows; ++c) {
-      const std::uint32_t l = row_ptr[r + c + 1] - row_ptr[r + c];
-      maxl = l > maxl ? l : maxl;
-    }
-    padded += h * maxl;
-  }
-  if (padded > 4 * std::size_t{row_ptr[rows]} + 64) return p;
-  p.slices.reserve((rows + h - 1) / h);
-  p.fused.resize(padded);
-  std::size_t base = 0;
-  for (std::size_t r = 0; r < rows; r += h) {
-    SellPlan::Slice s;
-    s.base = static_cast<std::uint32_t>(base);
-    for (std::size_t c = 0; c < h && r + c < rows; ++c) {
-      s.len[c] = row_ptr[r + c + 1] - row_ptr[r + c];
-      s.maxl = s.len[c] > s.maxl ? s.len[c] : s.maxl;
-    }
-    for (std::size_t c = 0; c < h; ++c) {
-      for (std::uint32_t t = 0; t < s.maxl; ++t) {
-        std::uint32_t word = 0;
-        if (s.len[c] != 0) {
-          const std::uint32_t k = row_ptr[r + c] + (t < s.len[c] ? t : s.len[c] - 1);
-          word = (static_cast<std::uint32_t>(offsets[k]) << 16) | col_idx[k];
-        }
-        p.fused[base + h * t + c] = word;
-      }
-    }
-    base += h * s.maxl;
-    p.slices.push_back(s);
-  }
-  p.valid = true;
-  return p;
-}
-
-namespace detail {
-
-/// Byte view of an 8-bit scalar array: for the lut8 formats the codec
-/// Storage byte *is* the object representation, so the SIMD kernels can
-/// address encodings directly.
-template <typename T>
-[[nodiscard]] inline const std::uint8_t* byte_ptr(const T* p) noexcept {
-  static_assert(sizeof(T) == 1 && std::is_trivially_copyable_v<T>);
-  return reinterpret_cast<const std::uint8_t*>(p);
-}
-template <typename T>
-[[nodiscard]] inline std::uint8_t* byte_ptr(T* p) noexcept {
-  static_assert(sizeof(T) == 1 && std::is_trivially_copyable_v<T>);
-  return reinterpret_cast<std::uint8_t*>(p);
-}
-
-/// Grow-only thread-local byte scratch for the SIMD kernels' operand
-/// staging (slot 0: SpMV's padded x copy, slot 1: SpMM's interleaved x
-/// block). Thread-local keeps the experiment engine's pool threads
-/// independent; grow-only keeps the steady-state hot loops
-/// allocation-free once warmed up.
-[[nodiscard]] inline std::vector<std::uint8_t>& simd_scratch(int slot) {
-  static thread_local std::vector<std::uint8_t> bufs[2];
-  return bufs[slot];
-}
-
-}  // namespace detail
+[[nodiscard]] constexpr SimdCaps simd_caps() noexcept { return SimdCaps{"scalar"}; }
 
 }  // namespace kernels
 }  // namespace mfla

@@ -6,32 +6,23 @@
 // policy: the ≤16-bit formats take the bit-identical LUT fast paths from
 // kernels/accel.hpp, everything else runs the exact engines.
 //
-// On top of the precomputed-offset plan, the SIMD tier (kernels/simd.hpp)
-// adds SELL execution plans: rows are grouped into slices of eight (AVX2
-// tier) or sixteen (AVX-512 tier) and their nonzeros stored
-// slice-interleaved, so the slice's *independent* row chains advance in
-// lock step. Each row's chain still executes in its original nonzero
-// order over the very same tables, so the result is bit-identical; the
-// win is instruction-level parallelism — a single row chain is bounded by
-// the ~5-cycle latency of its dependent table loads, interleaved chains
-// keep the load ports saturated instead.
-// (A vpgatherdd formulation measures *slower* than the interleaved scalar
-// chains at BOTH widths: the per-nonzero x→mul gathers chain, and a
-// chained gather costs ~4x a chained scalar load — doubling the lanes to
-// sixteen does not close that gap on current cores. The gather-based
-// SELL-16 kernel, kernels/simd_avx512.hpp's spmv_sell16_bits, is
-// therefore pinned out of production dispatch by
-// kernels::kSpmvSell16Dispatch; it stays compiled and identity-tested.)
+// The 8-bit formats additionally get two execution plans, built once per
+// matrix (sparse/csr.hpp): per-nonzero LUT row offsets, and on top of them
+// a SELL-8 (sliced ELLPACK, slice height 8) layout. SELL-8 groups rows
+// into slices of eight and stores their nonzeros slice-interleaved, so the
+// slice's *independent* row chains advance in lock step. Each row's chain
+// still executes in its original nonzero order over the very same tables,
+// so the result is bit-identical; the win is instruction-level
+// parallelism — a single row chain is bounded by the latency of its
+// dependent table loads, eight interleaved chains keep the load ports busy.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
+#include <type_traits>
 #include <vector>
 
 #include "kernels/accel.hpp"
-#include "kernels/simd.hpp"
-#include "kernels/simd_avx512.hpp"
 
 namespace mfla {
 namespace kernels {
@@ -48,6 +39,20 @@ void spmv_impl(std::size_t rows, const std::uint32_t* row_ptr, const std::uint32
     }
     y[i] = acc;
   }
+}
+
+/// Byte view of an 8-bit scalar array: for the lut8 formats the codec
+/// Storage byte *is* the object representation, so the SELL-8 kernel can
+/// address encodings directly.
+template <typename T>
+[[nodiscard]] inline const std::uint8_t* byte_ptr(const T* p) noexcept {
+  static_assert(sizeof(T) == 1 && std::is_trivially_copyable_v<T>);
+  return reinterpret_cast<const std::uint8_t*>(p);
+}
+template <typename T>
+[[nodiscard]] inline std::uint8_t* byte_ptr(T* p) noexcept {
+  static_assert(sizeof(T) == 1 && std::is_trivially_copyable_v<T>);
+  return reinterpret_cast<std::uint8_t*>(p);
 }
 
 }  // namespace detail
@@ -90,20 +95,92 @@ template <typename T>
   return offsets;
 }
 
-#if MFLA_ENABLE_LUT
+// -- SELL-8 plan ---------------------------------------------------------------
 
-// -- SELL execution kernels (SIMD tier) -------------------------------------
-// The SellPlan layout and build_sell_plan builder live in kernels/simd.hpp
-// (shared by the AVX2 and AVX-512 rungs); the height-8 interleaved-scalar
-// kernel is below, the height-16 gather kernel is
-// simd512::spmv_sell16_bits (kernels/simd_avx512.hpp).
+/// Sliced-ELL layout over the offset plan: rows are grouped into slices of
+/// eight consecutive rows, padded to the longest row in the slice, with
+/// one fused word (offset << 16) | col per (padded) nonzero stored
+/// lane-interleaved (fused[base + 8 * t + c] is row c's t-th entry). Pad
+/// entries replicate the row's last real nonzero so every load stays in
+/// range; their results are discarded by the t < len guard in the kernel.
+/// Built once per matrix alongside the offset plan (sparse/csr.hpp) and
+/// invalidated with it.
+struct SellPlan {
+  static constexpr std::uint32_t kHeight = 8;
+  struct Slice {
+    std::uint32_t base = 0;           ///< first fused word of the slice
+    std::uint32_t maxl = 0;           ///< longest row in the slice
+    std::uint32_t len[kHeight] = {};  ///< row lengths (0 past the last row)
+  };
+  std::vector<Slice> slices;
+  std::vector<std::uint32_t> fused;
+  bool valid = false;
+
+  void clear() noexcept {
+    slices.clear();
+    fused.clear();
+    valid = false;
+  }
+};
+
+/// Build the SELL-8 plan, or an invalid one when the layout cannot help:
+/// columns beyond 16 bits (they must fit the fused word), or row lengths
+/// so skewed that slice padding would blow the plan past ~4x the nonzero
+/// count (the row-at-a-time planned loop is the fallback, slower never
+/// wrong).
+[[nodiscard]] inline SellPlan build_sell_plan(std::size_t rows, std::size_t cols,
+                                              const std::uint32_t* row_ptr,
+                                              const std::uint32_t* col_idx,
+                                              const std::uint16_t* offsets) {
+  constexpr std::size_t h = SellPlan::kHeight;
+  SellPlan p;
+  if (rows == 0 || cols > 65536) return p;
+  std::size_t padded = 0;
+  for (std::size_t r = 0; r < rows; r += h) {
+    std::uint32_t maxl = 0;
+    for (std::size_t c = 0; c < h && r + c < rows; ++c) {
+      const std::uint32_t l = row_ptr[r + c + 1] - row_ptr[r + c];
+      maxl = l > maxl ? l : maxl;
+    }
+    padded += h * maxl;
+  }
+  if (padded > 4 * std::size_t{row_ptr[rows]} + 64) return p;
+  p.slices.reserve((rows + h - 1) / h);
+  p.fused.resize(padded);
+  std::size_t base = 0;
+  for (std::size_t r = 0; r < rows; r += h) {
+    SellPlan::Slice s;
+    s.base = static_cast<std::uint32_t>(base);
+    for (std::size_t c = 0; c < h && r + c < rows; ++c) {
+      s.len[c] = row_ptr[r + c + 1] - row_ptr[r + c];
+      s.maxl = s.len[c] > s.maxl ? s.len[c] : s.maxl;
+    }
+    for (std::size_t c = 0; c < h; ++c) {
+      for (std::uint32_t t = 0; t < s.maxl; ++t) {
+        std::uint32_t word = 0;
+        if (s.len[c] != 0) {
+          const std::uint32_t k = row_ptr[r + c] + (t < s.len[c] ? t : s.len[c] - 1);
+          word = (static_cast<std::uint32_t>(offsets[k]) << 16) | col_idx[k];
+        }
+        p.fused[base + h * t + c] = word;
+      }
+    }
+    base += h * s.maxl;
+    p.slices.push_back(s);
+  }
+  p.valid = true;
+  return p;
+}
+
+#if MFLA_ENABLE_LUT
 
 /// Planned SpMV over the SELL-8 plan, in the encoding-bit domain: eight
 /// independent row chains advance in lock step (two nonzeros deep per
 /// iteration on the unpadded prefix), hiding each chain's dependent-load
 /// latency behind the other seven. Every chain is the scalar chain of its
-/// row, in its original order — bit-identical by construction. `x` is the
-/// x encoding bytes (no padding needed: all reads are single bytes).
+/// row, in its original order — bit-identical by construction. `mul2d` is
+/// the (a << 8) | b mul table, `addt` the transposed (b << 8) | a add
+/// table, `x` the x encoding bytes.
 inline void spmv_sell_bits(const std::uint8_t* mul2d, const std::uint8_t* addt,
                            const std::uint8_t* x, const SellPlan& plan, std::size_t rows,
                            std::uint8_t* y, std::uint8_t zero_bits) noexcept {
@@ -158,35 +235,18 @@ inline void spmv_sell_bits(const std::uint8_t* mul2d, const std::uint8_t* addt,
 /// y := A x with the precomputed offset plan; bit-identical to the generic
 /// LUT path (the accumulation runs in the bit domain over the very same
 /// tables, in the very same order). Callers must check lut_enabled().
-/// When a SIMD rung is active and a matching valid SELL plan is supplied,
-/// the corresponding slice kernel runs instead of the row-at-a-time loop.
-/// The AVX-512 SELL-16 gather branch exists but is pinned off by
-/// kSpmvSell16Dispatch (measured slower than SELL-8 — see the header
-/// comment), so production dispatch goes straight to the height-8
-/// interleaved-scalar kernel at every vector rung.
+/// A valid SELL-8 plan runs the slice kernel; otherwise (no plan, or one
+/// build_sell_plan rejected) the row-at-a-time loop below.
 template <typename T>
 void spmv_planned(std::size_t rows, const std::uint32_t* row_ptr, const std::uint32_t* col_idx,
                   const std::uint16_t* offsets, const T* x, T* y,
-                  const SellPlan* sell = nullptr, const SellPlan* sell16 = nullptr) noexcept {
+                  const SellPlan* sell = nullptr) noexcept {
   static_assert(spmv_plan_supported<T>());
   using Codec = ScalarCodec<T>;
   using Storage = typename Codec::Storage;
   const auto& lut = accel::Lut8<T>::instance();
   const Storage zero_bits = Codec::to_bits(T(0));
-#if MFLA_SIMD_AVX512_COMPILED
-  if (kSpmvSell16Dispatch && sell16 != nullptr && sell16->valid && simd_avx512_active()) {
-    // The SELL-16 kernel gathers x bytes as 32-bit words, so it reads past
-    // the last entry: stage x into the padded thread-local scratch.
-    auto& xpad = detail::simd_scratch(0);
-    const std::size_t need = std::size_t{sell16->cols} + simd512::kGatherSlack;
-    if (xpad.size() < need) xpad.resize(need);
-    if (sell16->cols != 0) std::memcpy(xpad.data(), detail::byte_ptr(x), sell16->cols);
-    simd512::spmv_sell16_bits(lut.mul_data(), lut.add_t_data(), xpad.data(), *sell16, rows,
-                              detail::byte_ptr(y), zero_bits);
-    return;
-  }
-#endif
-  if (sell != nullptr && sell->valid && simd_active()) {
+  if (sell != nullptr && sell->valid) {
     spmv_sell_bits(lut.mul_data(), lut.add_t_data(), detail::byte_ptr(x), *sell, rows,
                    detail::byte_ptr(y), zero_bits);
     return;

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "arith/traits.hpp"
-#include "kernels/spmm.hpp"
 #include "kernels/spmv.hpp"
 #include "sparse/coo.hpp"
 
@@ -54,30 +53,28 @@ class CsrMatrix {
   /// is called: slower, never incorrect.
   [[nodiscard]] std::vector<T>& mutable_values() noexcept {
     spmv_plan_.clear();
-#if MFLA_ENABLE_LUT
     sell_plan_.clear();
-    sell16_plan_.clear();
-#endif
     return values_;
   }
 
-  /// Is the precomputed offset plan current? (Both matvec and matvec_block
-  /// fall back to the generic kernels when it is not — mutable_values()
-  /// invalidates it for *all* planned paths at once.)
+  /// Is the precomputed offset plan current? (matvec falls back to the
+  /// generic kernel when it is not — mutable_values() invalidates the
+  /// offset and SELL-8 plans together.)
   [[nodiscard]] bool has_spmv_plan() const noexcept {
     return kernels::spmv_plan_supported<T>() && spmv_plan_.size() == values_.size() &&
            !values_.empty();
   }
 
   /// y := A x, accumulated in T. 8-bit formats with a current offset plan
-  /// take the precomputed-offset LUT kernel (bit-identical to the generic
-  /// dispatch; kernels/spmv.hpp).
+  /// take the planned LUT kernel — SELL-8 when the matrix admits the
+  /// layout, row at a time otherwise — bit-identical to the generic
+  /// dispatch (kernels/spmv.hpp).
   void matvec(const T* x, T* y) const {
 #if MFLA_ENABLE_LUT
     if constexpr (kernels::spmv_plan_supported<T>()) {
       if (spmv_plan_.size() == values_.size() && kernels::lut_enabled()) {
         kernels::spmv_planned(rows_, row_ptr_.data(), col_idx_.data(), spmv_plan_.data(), x, y,
-                              &sell_plan_, &sell16_plan_);
+                              &sell_plan_);
         return;
       }
     }
@@ -85,44 +82,16 @@ class CsrMatrix {
     kernels::spmv(rows_, row_ptr_.data(), col_idx_.data(), values_.data(), x, y);
   }
 
-  /// Y := A X for k right-hand sides (column-major, leading dimensions ldx
-  /// and ldy) — bit-identical to k matvec calls, but one traversal of the
-  /// matrix advances all k accumulation chains (kernels/spmm.hpp). Shares
-  /// the offset plan with matvec, including its invalidation rules.
-  void matvec_block(const T* x, std::size_t ldx, std::size_t k, T* y, std::size_t ldy) const {
-#if MFLA_ENABLE_LUT
-    if constexpr (kernels::spmv_plan_supported<T>()) {
-      if (spmv_plan_.size() == values_.size() && kernels::lut_enabled()) {
-        kernels::spmm_planned(rows_, cols_, row_ptr_.data(), col_idx_.data(),
-                              spmv_plan_.data(), k, x, ldx, y, ldy);
-        return;
-      }
-    }
-#endif
-    kernels::spmm(rows_, row_ptr_.data(), col_idx_.data(), values_.data(), k, x, ldx, y, ldy);
-  }
-
-  /// (Re)compute the per-nonzero LUT row offsets and, when the SIMD tier
-  /// is compiled in, the SELL slice plans over them — height 8 for the
-  /// interleaved-scalar kernel every vector rung runs, additionally
-  /// height 16 only if the AVX-512 SELL-16 gather dispatch is un-pinned
-  /// (kernels::kSpmvSell16Dispatch; it measured slower, so by default no
-  /// height-16 plan is built or consumed). No-op for formats wider than
+  /// (Re)compute the per-nonzero LUT row offsets and the SELL-8 slice plan
+  /// over them (kernels/spmv.hpp; the plan comes out invalid when the
+  /// matrix does not admit the layout). No-op for formats wider than
   /// 8 bits. Called by the constructors; call manually after editing
   /// values() in place.
   void rebuild_spmv_plan() {
     if constexpr (kernels::spmv_plan_supported<T>()) {
       spmv_plan_ = kernels::build_spmv_plan(values_.data(), values_.size());
-#if MFLA_ENABLE_LUT
-      if (kernels::simd_compiled()) {
-        sell_plan_ = kernels::build_sell_plan(rows_, cols_, row_ptr_.data(), col_idx_.data(),
-                                              spmv_plan_.data());
-      }
-      if (kernels::kSpmvSell16Dispatch && kernels::simd_avx512_compiled()) {
-        sell16_plan_ = kernels::build_sell_plan(rows_, cols_, row_ptr_.data(),
-                                                col_idx_.data(), spmv_plan_.data(), 16);
-      }
-#endif
+      sell_plan_ = kernels::build_sell_plan(rows_, cols_, row_ptr_.data(), col_idx_.data(),
+                                            spmv_plan_.data());
     }
   }
 
@@ -163,14 +132,9 @@ class CsrMatrix {
   // Per-nonzero LUT row offsets (8-bit formats only; empty otherwise or
   // after in-place value mutation). 2 bytes per nonzero.
   std::vector<std::uint16_t> spmv_plan_;
-#if MFLA_ENABLE_LUT
-  // SELL slice plans over the offsets (SIMD tier; kernels/simd.hpp):
-  // height 8 for the interleaved-scalar kernel, height 16 for the AVX-512
-  // gather kernel. Invalidated together with spmv_plan_ by
-  // mutable_values().
+  // SELL-8 slice plan over the offsets (kernels/spmv.hpp); invalidated
+  // together with spmv_plan_ by mutable_values().
   kernels::SellPlan sell_plan_;
-  kernels::SellPlan sell16_plan_;
-#endif
 };
 
 /// Does any entry of the (double) matrix fall outside the representable

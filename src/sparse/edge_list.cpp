@@ -6,6 +6,7 @@
 #include <istream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -16,13 +17,20 @@ struct RawEdge {
   std::uint64_t u, v;
   double w;
 };
+
+[[noreturn]] void fail_at(long lineno, const std::string& what) {
+  throw std::runtime_error("edge list: line " + std::to_string(lineno) + ": " + what);
+}
+
 }  // namespace
 
 CooMatrix read_edge_list(std::istream& in, const EdgeListOptions& opts) {
   std::vector<RawEdge> edges;
   std::unordered_map<std::uint64_t, std::uint32_t> remap;
   std::string line;
+  long lineno = 0;
   while (std::getline(in, line)) {
+    ++lineno;
     // Normalize separators: commas become spaces.
     for (char& c : line) {
       if (c == ',' || c == ';' || c == '\t') c = ' ';
@@ -34,10 +42,12 @@ CooMatrix read_edge_list(std::istream& in, const EdgeListOptions& opts) {
     std::uint64_t u = 0, v = 0;
     double w = 1.0;
     ls >> u >> v;
-    if (ls.fail()) throw std::runtime_error("edge list: bad line '" + line + "'");
-    if (opts.use_weights) {
-      double maybe_w;
-      if (ls >> maybe_w) w = maybe_w;
+    if (ls.fail()) fail_at(lineno, "bad line '" + line + "'");
+    // A third column, when present, must parse as the weight in full;
+    // columns after it (e.g. a timestamp) are ignored.
+    if (opts.use_weights && !(ls >> std::ws).eof()) {
+      if (!(ls >> w) || !(ls.eof() || std::isspace(ls.peek())))
+        fail_at(lineno, "bad weight in '" + line + "'");
     }
     edges.push_back({u, v, w});
   }

@@ -3,7 +3,8 @@
 // Lines are "u v" or "u v w" (optionally comma-separated); '%' and '#'
 // start comments. Vertex ids may be 0- or 1-based and need not be
 // contiguous — ids are compacted to a dense range, mirroring the paper's
-// "general parsing rules" cleanup stage.
+// "general parsing rules" cleanup stage. A line whose ids or weight do not
+// parse throws std::runtime_error naming its 1-based line number.
 #pragma once
 
 #include <iosfwd>
@@ -15,6 +16,7 @@ namespace mfla {
 
 struct EdgeListOptions {
   bool use_weights = true;  // take the third column as weight when present
+                            // (it must then parse as a number)
 };
 
 /// Parse an edge list into a (square) adjacency COO matrix.

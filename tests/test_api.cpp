@@ -1,6 +1,6 @@
 // mfla::api facade tests: SweepBuilder-vs-legacy byte identity, the
-// ResultSink event pipeline (ordering and serialization under threads=N,
-// JournalSink vs engine journal), registry-driven format keys, and
+// ResultSink event pipeline (ordering and serialization under threads=N),
+// registry-driven format keys, and
 // invalid-builder-state errors.
 //
 // The legacy cross-checks intentionally drive the deprecated free-function
@@ -224,36 +224,6 @@ TEST(SinkPipeline, MultiSinkOrderingAndSerializationUnderThreads) {
     EXPECT_EQ(ra[i].run.format, rb[i].run.format);
     EXPECT_EQ(ra[i].done, rb[i].done);
   }
-}
-
-TEST(SinkPipeline, JournalSinkMatchesEngineJournal) {
-  const auto ds = api_dataset();
-  const auto formats = api_formats();
-  const auto cfg = api_config();
-  const std::string engine_path = "test_out/api_engine_journal.jsonl";
-  const std::string sink_path = "test_out/api_sink_journal.jsonl";
-  std::remove(engine_path.c_str());
-  std::remove(sink_path.c_str());
-
-  // threads=1: engine journal writes and sink events happen in the same
-  // order, so the two files must be byte-identical.
-  (void)api::Sweep::over(ds)
-      .formats(formats)
-      .config(cfg)
-      .threads(1)
-      .checkpoint(engine_path)
-      .sink(std::make_shared<api::JournalSink>(sink_path))
-      .run();
-  EXPECT_EQ(slurp(engine_path), slurp(sink_path));
-
-  // Parsed contents agree with what the engine recorded.
-  const JournalContents jc = read_journal(sink_path);
-  EXPECT_TRUE(jc.has_meta);
-  EXPECT_EQ(jc.meta, make_journal_meta(cfg, formats, ds.size()));
-  EXPECT_EQ(jc.runs.size(), ds.size() * formats.size());
-  EXPECT_EQ(jc.skipped_lines, 0u);
-  std::remove(engine_path.c_str());
-  std::remove(sink_path.c_str());
 }
 
 TEST(SinkPipeline, ReferenceFailureEventsReachSinks) {

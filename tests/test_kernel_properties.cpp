@@ -1,16 +1,17 @@
 // Property/fuzz harness over the kernel layer: every dispatching kernels::
-// entry point must be bit-identical to its kernels::ref:: definition under
-// every acceleration configuration — LUT off, LUT on with SIMD forced off,
-// and LUT on with SIMD on — for EVERY format in the registry, on operand
+// entry point must be bit-identical to its kernels::ref:: definition with
+// the LUT fast paths off and on, for EVERY format in the registry, on operand
 // streams that deliberately include the nasty values (NaN / NaR, +/-inf,
 // -0.0, double denormals, values past the format's range in both
 // directions) interleaved with seeded pseudo-random data.
 //
-// The acceleration tiers may only change how table entries are fetched,
-// never what is computed; this suite is the pairwise enforcement of that
-// contract one level above the exhaustive per-table tests
-// (test_kernel_accel.cpp, test_kernel_simd.cpp). Results are compared by
-// object representation (memcmp), so NaN payloads and -0.0 count.
+// The acceleration tier may only change how a result is found, never what
+// is computed; this suite is the pairwise enforcement of that contract one
+// level above the exhaustive per-table tests (test_kernel_accel.cpp).
+// The 8-bit formats also run the planned SpMV (offset plan, with and
+// without its SELL-8 slice plan) against the same reference. Results are
+// compared by object representation (memcmp), so NaN payloads and -0.0
+// count.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -22,8 +23,6 @@
 #include "arith/format_registry.hpp"
 #include "dense/matrix.hpp"
 #include "kernels/accel.hpp"
-#include "kernels/simd.hpp"
-#include "kernels/spmm.hpp"
 #include "kernels/spmv.hpp"
 #include "kernels/vector_ops.hpp"
 #include "support/rng.hpp"
@@ -32,38 +31,26 @@ namespace mfla {
 namespace {
 
 /// The dispatch configurations under test (ref:: is the implicit extra leg
-/// of every comparison): exact engines, scalar LUT, and the LUT with the
-/// ISA ladder pinned at each vector rung. Pinning a rung the host cannot
-/// execute degrades to the best available one — that degradation is itself
-/// part of the contract under test.
+/// of every comparison): exact engines and the LUT fast paths.
 struct Config {
   bool lut;
-  kernels::SimdLevel level;
   const char* name;
 };
 constexpr Config kConfigs[] = {
-    {false, kernels::SimdLevel::scalar, "exact"},
-    {true, kernels::SimdLevel::scalar, "lut"},
-    {true, kernels::SimdLevel::avx2, "lut+avx2"},
-    {true, kernels::SimdLevel::avx512, "lut+avx512"},
+    {false, "exact"},
+    {true, "lut"},
 };
 
-/// Scoped override of both runtime switches.
+/// Scoped override of the runtime LUT switch.
 class ConfigGuard {
  public:
-  explicit ConfigGuard(const Config& c)
-      : lut_prev_(kernels::set_lut_enabled(c.lut)),
-        level_prev_(kernels::set_simd_level(c.level)) {}
-  ~ConfigGuard() {
-    kernels::set_simd_level(level_prev_);
-    kernels::set_lut_enabled(lut_prev_);
-  }
+  explicit ConfigGuard(const Config& c) : lut_prev_(kernels::set_lut_enabled(c.lut)) {}
+  ~ConfigGuard() { kernels::set_lut_enabled(lut_prev_); }
   ConfigGuard(const ConfigGuard&) = delete;
   ConfigGuard& operator=(const ConfigGuard&) = delete;
 
  private:
   bool lut_prev_;
-  kernels::SimdLevel level_prev_;
 };
 
 template <typename T>
@@ -73,8 +60,7 @@ template <typename T>
 
 /// Operand stream: the special values cycle through the head positions and
 /// then keep reappearing every 7th slot inside pseudo-random filler, so
-/// short vectors are all-special and long ones mix specials into every
-/// SIMD block.
+/// short vectors are all-special and long ones mix specials throughout.
 template <typename T>
 std::vector<T> fuzz_vec(std::size_t n, std::uint64_t seed) {
   constexpr double inf = std::numeric_limits<double>::infinity();
@@ -103,7 +89,7 @@ void expect_vec_repr(const std::vector<T>& got, const std::vector<T>& want,
 }
 
 /// A small fixed CSR structure with irregular rows (lengths 0..4) used for
-/// the spmv/spmm legs; values come from the fuzz stream.
+/// the spmv legs; values come from the fuzz stream.
 struct FuzzCsr {
   std::vector<std::uint32_t> row_ptr, col_idx;
   std::size_t rows, cols;
@@ -153,27 +139,6 @@ void check_format(int bits) {
     }
   }
 
-  // Blocked primitives: k column vectors against the singles definition.
-  // The 8-bit formats take k past 32 so the widest blocked paths (the
-  // AVX-512 32-lane dot chains) run with a partial tail.
-  {
-    const std::size_t n = bits <= 16 ? 70 : 20, k = bits <= 16 ? 35 : 9, ldx = n + 2;
-    const auto xs = fuzz_vec<T>(k * ldx, 31);
-    const auto y = fuzz_vec<T>(n, 32);
-    const auto alphas = fuzz_vec<T>(k, 33);
-    std::vector<T> dots_ref(k), axb_ref = y;
-    kernels::ref::dot_block(n, k, xs.data(), ldx, y.data(), dots_ref.data());
-    kernels::ref::axpy_block(n, k, alphas.data(), xs.data(), ldx, axb_ref.data());
-    for (const Config& cfg : kConfigs) {
-      ConfigGuard guard(cfg);
-      std::vector<T> dots(k), axb = y;
-      kernels::dot_block(n, k, xs.data(), ldx, y.data(), dots.data());
-      kernels::axpy_block(n, k, alphas.data(), xs.data(), ldx, axb.data());
-      expect_vec_repr(dots, dots_ref, std::string("dot_block cfg=") + cfg.name);
-      expect_vec_repr(axb, axb_ref, std::string("axpy_block cfg=") + cfg.name);
-    }
-  }
-
   // Dense gemv / gemv_t / matmul on a small matrix with specials.
   {
     const std::size_t m = 13, n2 = 11;
@@ -214,41 +179,36 @@ void check_format(int bits) {
     }
   }
 
-  // Sparse: spmv and spmm over an irregular structure with special values.
+  // Sparse: spmv over an irregular structure with special values.
   {
     const FuzzCsr s(29, 17, 5);
     const auto vals = fuzz_vec<T>(s.col_idx.size(), 51);
-    // 8-bit formats take k past 16 so the AVX-512 16-column spmm chunk
-    // runs with a scalar tail behind it.
-    const std::size_t k = bits <= 16 ? 19 : 5, ldx = s.cols + 1, ldy = s.rows + 2;
-    const auto x = fuzz_vec<T>(k * ldx, 52);
-    std::vector<T> spmv_ref(s.rows), spmm_ref(k * ldy, T(0));
+    const auto x = fuzz_vec<T>(s.cols, 52);
+    std::vector<T> spmv_ref(s.rows);
     kernels::ref::spmv(s.rows, s.row_ptr.data(), s.col_idx.data(), vals.data(), x.data(),
                        spmv_ref.data());
-    kernels::ref::spmm(s.rows, s.row_ptr.data(), s.col_idx.data(), vals.data(), k, x.data(),
-                       ldx, spmm_ref.data(), ldy);
-    // The spmm contract: ref::spmm is k ref::spmv calls.
-    for (std::size_t c = 0; c < k; ++c) {
-      std::vector<T> one(s.rows);
-      kernels::ref::spmv(s.rows, s.row_ptr.data(), s.col_idx.data(), vals.data(),
-                         x.data() + c * ldx, one.data());
-      for (std::size_t r = 0; r < s.rows; ++r)
-        ASSERT_TRUE(same_repr(spmm_ref[c * ldy + r], one[r]))
-            << NumTraits<T>::name() << " ref::spmm contract c=" << c << " r=" << r;
-    }
     for (const Config& cfg : kConfigs) {
       ConfigGuard guard(cfg);
-      std::vector<T> yv(s.rows), ym(k * ldy, T(0));
+      std::vector<T> yv(s.rows);
       kernels::spmv(s.rows, s.row_ptr.data(), s.col_idx.data(), vals.data(), x.data(),
                     yv.data());
-      kernels::spmm(s.rows, s.row_ptr.data(), s.col_idx.data(), vals.data(), k, x.data(), ldx,
-                    ym.data(), ldy);
       expect_vec_repr(yv, spmv_ref, std::string("spmv cfg=") + cfg.name);
-      for (std::size_t c = 0; c < k; ++c)
-        for (std::size_t r = 0; r < s.rows; ++r)
-          ASSERT_TRUE(same_repr(ym[c * ldy + r], spmm_ref[c * ldy + r]))
-              << NumTraits<T>::name() << " spmm cfg=" << cfg.name << " c=" << c << " r=" << r;
     }
+#if MFLA_ENABLE_LUT
+    if constexpr (kernels::spmv_plan_supported<T>()) {
+      const auto offsets = kernels::build_spmv_plan(vals.data(), vals.size());
+      const kernels::SellPlan sell = kernels::build_sell_plan(
+          s.rows, s.cols, s.row_ptr.data(), s.col_idx.data(), offsets.data());
+      ASSERT_TRUE(sell.valid);
+      std::vector<T> yr(s.rows), ys(s.rows);
+      kernels::spmv_planned(s.rows, s.row_ptr.data(), s.col_idx.data(), offsets.data(),
+                            x.data(), yr.data());
+      kernels::spmv_planned(s.rows, s.row_ptr.data(), s.col_idx.data(), offsets.data(),
+                            x.data(), ys.data(), &sell);
+      expect_vec_repr(yr, spmv_ref, "spmv_planned row-at-a-time");
+      expect_vec_repr(ys, spmv_ref, "spmv_planned SELL-8");
+    }
+#endif
   }
 }
 

@@ -6,10 +6,11 @@
 // mid-stream plus journal-resumed retry, explicit over-capacity
 // rejections, and a graceful drain that leaves no state behind.
 //
-// Every daemon test shares one state root so the server-side reference
-// cache warms once; results are bit-identical either way, which is the
-// point of the byte-compare assertions.
+// The daemon tests of one process share one state root so the server-side
+// reference cache warms once; results are bit-identical either way, which
+// is the point of the byte-compare assertions.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <filesystem>
@@ -17,6 +18,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -216,17 +218,36 @@ std::string slurp(const std::string& path) {
   return ss.str();
 }
 
+/// A path under test_out/ private to this process. ctest runs every test
+/// of this binary as its own process, in parallel, so a fixed path would
+/// be written, read and removed by several processes at once.
+std::string process_path(const std::string& name) {
+  return "test_out/" + name + "." + std::to_string(::getpid());
+}
+
 /// Shared state root: the server-side reference cache warms on the first
-/// daemon sweep and every later test serves references from it. Cleared
-/// once per binary run.
+/// daemon sweep and every later test of the same process serves
+/// references from it. Created once per process, removed after its last
+/// test.
 const std::string& state_root() {
   static const std::string root = [] {
-    std::filesystem::remove_all("test_out/serve_state");
-    std::filesystem::create_directories("test_out/serve_state");
-    return std::string("test_out/serve_state");
+    const std::string dir = process_path("serve_state");
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    return dir;
   }();
   return root;
 }
+
+class StateRootCleanup : public ::testing::Environment {
+ public:
+  void TearDown() override {
+    std::error_code ec;
+    std::filesystem::remove_all(process_path("serve_state"), ec);
+  }
+};
+[[maybe_unused]] ::testing::Environment* const kStateRootCleanup =
+    ::testing::AddGlobalTestEnvironment(new StateRootCleanup);
 
 /// In-process daemon running its accept loop on a background thread.
 struct DaemonFixture {
@@ -278,7 +299,7 @@ const Expected& expected_small_sweep() {
                                    .buffer(2)
                                    .restarts(40)
                                    .run();
-    const std::string path = "test_out/serve_expected_raw.csv";
+    const std::string path = process_path("serve_expected_raw.csv");
     write_results_csv(path, r.results);
     out.csv = slurp(path);
     std::filesystem::remove(path);
@@ -304,7 +325,7 @@ serve::ClientResult retry_sweep(const serve::ClientOptions& opts,
 }
 
 std::string client_csv(const serve::ClientResult& r, const std::string& tag) {
-  const std::string path = "test_out/serve_" + tag + "_raw.csv";
+  const std::string path = process_path("serve_" + tag + "_raw.csv");
   write_results_csv(path, r.results);
   std::string data = slurp(path);
   std::filesystem::remove(path);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "arith/posit.hpp"
 #include "sparse/coo.hpp"
@@ -128,56 +129,46 @@ TEST(Csr, ConvertChangesFormatNotPattern) {
 
 TEST(Csr, MutableValuesInvalidatesPlannedPaths) {
   // mutable_values() must drop ALL precomputed plans together (the
-  // per-nonzero offset plan and the SELL-8/SELL-16 slice plans behind it):
-  // a stale plan indexes the operation tables by the old value bits, so
-  // matvec and matvec_block would silently compute with the pre-edit
-  // matrix. A 40-row matrix gives the SELL-16 plan multiple slices.
+  // per-nonzero offset plan and the SELL-8 slice plan behind it): a stale
+  // plan indexes the operation tables by the old value bits, so matvec
+  // would silently compute with the pre-edit matrix. A 40-row matrix gives
+  // the SELL-8 plan multiple slices.
   CooMatrix coo(40, 40);
   Rng rng("mutable_values", 0);
   for (std::uint32_t r = 0; r < 40; ++r)
     for (std::uint32_t c = 0; c < 40; ++c)
       if (r == c || rng.uniform() < 0.08) coo.add(r, c, rng.normal());
   auto a = CsrMatrix<double>::from_coo(coo).convert<Posit8>();
-  ASSERT_TRUE(a.has_spmv_plan());
+  // No plans exist when the LUTs are compiled out; the matvec checks below
+  // still hold.
+  const bool planned = kernels::spmv_plan_supported<Posit8>();
+  ASSERT_EQ(a.has_spmv_plan(), planned);
 
   std::vector<Posit8> x;
   for (std::size_t i = 0; i < a.cols(); ++i)
     x.push_back(NumTraits<Posit8>::from_double(rng.normal()));
-  const std::size_t k = 17;  // AVX-512 16-chunk + tail in matvec_block
-  std::vector<Posit8> xb;
-  for (std::size_t i = 0; i < k * a.cols(); ++i)
-    xb.push_back(NumTraits<Posit8>::from_double(rng.normal()));
 
   // Edit a value in place: the plans must go stale together.
   a.mutable_values()[0] = NumTraits<Posit8>::from_double(7.0);
   EXPECT_FALSE(a.has_spmv_plan());
 
-  // Generic fallbacks must see the NEW value (bit-compare against the
-  // dispatching kernels on the same arrays).
+  // The generic fallback must see the NEW value (bit-compare against the
+  // dispatching kernel on the same arrays).
   std::vector<Posit8> y(a.rows()), want(a.rows());
   a.matvec(x.data(), y.data());
   kernels::spmv(a.rows(), a.row_ptr().data(), a.col_idx().data(), a.values().data(), x.data(),
                 want.data());
   for (std::size_t i = 0; i < a.rows(); ++i)
     ASSERT_EQ(ScalarCodec<Posit8>::to_bits(y[i]), ScalarCodec<Posit8>::to_bits(want[i]));
-  std::vector<Posit8> yb(k * a.rows()), wantb(k * a.rows());
-  a.matvec_block(xb.data(), a.cols(), k, yb.data(), a.rows());
-  kernels::spmm(a.rows(), a.row_ptr().data(), a.col_idx().data(), a.values().data(), k,
-                xb.data(), a.cols(), wantb.data(), a.rows());
-  for (std::size_t i = 0; i < yb.size(); ++i)
-    ASSERT_EQ(ScalarCodec<Posit8>::to_bits(yb[i]), ScalarCodec<Posit8>::to_bits(wantb[i]));
 
-  // Rebuilding restores the planned paths (including the SELL plans when
-  // the SIMD tiers are compiled in) with bit-identical results.
+  // Rebuilding restores the planned path (offsets and SELL-8 plan) with
+  // bit-identical results.
   a.rebuild_spmv_plan();
-  EXPECT_TRUE(a.has_spmv_plan());
-  std::vector<Posit8> y2(a.rows()), yb2(k * a.rows());
+  EXPECT_EQ(a.has_spmv_plan(), planned);
+  std::vector<Posit8> y2(a.rows());
   a.matvec(x.data(), y2.data());
-  a.matvec_block(xb.data(), a.cols(), k, yb2.data(), a.rows());
   for (std::size_t i = 0; i < a.rows(); ++i)
     ASSERT_EQ(ScalarCodec<Posit8>::to_bits(y2[i]), ScalarCodec<Posit8>::to_bits(y[i]));
-  for (std::size_t i = 0; i < yb2.size(); ++i)
-    ASSERT_EQ(ScalarCodec<Posit8>::to_bits(yb2[i]), ScalarCodec<Posit8>::to_bits(yb[i]));
 }
 
 TEST(Csr, MatrixExceedsRange) {
@@ -356,6 +347,47 @@ TEST(EdgeList, ZeroBasedIdsWork) {
 TEST(EdgeList, BadLineThrows) {
   std::istringstream in("1 banana\n");
   EXPECT_THROW(read_edge_list(in), std::runtime_error);
+}
+
+/// The runtime_error message of read_edge_list over `text`, or "" if it
+/// parsed.
+std::string edge_list_error(const std::string& text, const EdgeListOptions& opts = {}) {
+  std::istringstream in(text);
+  try {
+    (void)read_edge_list(in, opts);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(EdgeList, UnparsableWeightThrowsWithLine) {
+  EXPECT_EQ(edge_list_error("1 2 abc\n"), "edge list: line 1: bad weight in '1 2 abc'");
+  // Comments and blank lines still count toward the line number.
+  const std::string err = edge_list_error("% header\n\n1 2 0.5\n2 3 1.5x\n");
+  EXPECT_NE(err.find("line 4:"), std::string::npos) << err;
+  EXPECT_NE(err.find("bad weight"), std::string::npos) << err;
+  EXPECT_NE(edge_list_error("1,2,nan?\n").find("line 1:"), std::string::npos);
+}
+
+TEST(EdgeList, WeightColumnIgnoredWhenWeightsOff) {
+  EdgeListOptions opts;
+  opts.use_weights = false;
+  EXPECT_EQ(edge_list_error("1 2 abc\n", opts), "");
+}
+
+TEST(EdgeList, ExtraColumnsAfterWeightIgnored) {
+  // Network Repository files may carry a timestamp after the weight.
+  std::istringstream in("1 2 2.5 1700000000\n2 3 0.5 1700000001\n");
+  const CooMatrix m = read_edge_list(in);
+  double total = 0;
+  for (const auto& t : m.triplets()) total += t.value;
+  EXPECT_DOUBLE_EQ(total, 3.0);
+}
+
+TEST(EdgeList, BadIdsCarryLineNumber) {
+  EXPECT_EQ(edge_list_error("1 2\n3 banana\n"), "edge list: line 2: bad line '3 banana'");
+  EXPECT_EQ(edge_list_error("# c\n7\n"), "edge list: line 2: bad line '7'");
 }
 
 }  // namespace
