@@ -8,10 +8,6 @@
 // worker that draws the large matrix serializes its whole format sweep
 // while the other workers idle; with task granularity its format runs fan
 // out as soon as the reference lands.
-//
-// The matrix-granularity baseline is the deprecated legacy path, exercised
-// here on purpose.
-#define MFLA_ALLOW_DEPRECATED
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -53,6 +49,21 @@ ExperimentConfig bench_config() {
   return cfg;
 }
 
+/// One matrix end to end on the calling thread: its tiered reference
+/// solve, then every format in order.
+MatrixResult solve_matrix_serially(const TestMatrix& tm, const std::vector<FormatId>& formats,
+                                   const ExperimentConfig& cfg) {
+  MatrixResult res;
+  res.name = tm.name;
+  Rng rng(tm.name, cfg.seed);
+  const std::vector<double> start = rng.unit_vector(tm.n());
+  const ReferenceSolution ref = compute_reference_tiered(tm, cfg, start).solution;
+  res.reference_ok = ref.ok;
+  if (!ref.ok) return res;
+  for (const FormatId id : formats) res.runs.push_back(run_format_dynamic(tm, ref, cfg, start, id));
+  return res;
+}
+
 /// The old engine, reconstructed: parallelism across matrices only.
 void BM_MatrixGranularity(benchmark::State& state) {
   const auto ds = skewed_corpus();
@@ -65,7 +76,7 @@ void BM_MatrixGranularity(benchmark::State& state) {
       ThreadPool pool(threads);
       for (std::size_t i = 0; i < ds.size(); ++i) {
         pool.submit([&results, &ds, &formats, &cfg, i] {
-          results[i] = run_matrix(ds[i], formats, cfg);
+          results[i] = solve_matrix_serially(ds[i], formats, cfg);
         });
       }
       pool.wait_idle();

@@ -6,14 +6,14 @@
 //                        pipeline (api/sweep.hpp)
 //   * api::Solver      — runtime format/algorithm-polymorphic solver
 //                        handles (api/solver.hpp)
-//   * api::ResultSink  — composable output pipeline: Csv / Journal /
-//                        Memory / Progress / Multi sinks (api/sinks.hpp)
+//   * api::ResultSink  — composable output pipeline: Csv / Memory /
+//                        Progress sinks (api/sinks.hpp)
 //
 // The underlying library surface (formats, sparse/dense containers,
 // corpora, graph generators, reports) is re-exported via mfla.hpp so one
-// include serves a whole driver. Deep solver internals (partialschur,
-// run_experiment) remain reachable for power users but are deprecated as
-// entry points; see docs/API.md for the migration table.
+// include serves a whole driver. The engine underneath (run_experiment,
+// compute_reference_tiered, run_format_dynamic) stays public for code that
+// needs a single stage; docs/API.md maps it onto the facade.
 #pragma once
 
 #include "api/sinks.hpp"

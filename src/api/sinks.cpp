@@ -9,34 +9,6 @@
 namespace mfla::api {
 
 // ---------------------------------------------------------------------------
-// MultiSink
-// ---------------------------------------------------------------------------
-
-MultiSink::MultiSink(std::vector<std::shared_ptr<ResultSink>> sinks)
-    : sinks_(std::move(sinks)) {}
-
-MultiSink& MultiSink::add(std::shared_ptr<ResultSink> sink) {
-  sinks_.push_back(std::move(sink));
-  return *this;
-}
-
-void MultiSink::on_meta(const SweepMeta& m) {
-  for (const auto& s : sinks_) s->on_meta(m);
-}
-void MultiSink::on_run(const RunEvent& e) {
-  for (const auto& s : sinks_) s->on_run(e);
-}
-void MultiSink::on_reference(const ReferenceEvent& e) {
-  for (const auto& s : sinks_) s->on_reference(e);
-}
-void MultiSink::on_fault(const FaultEvent& e) {
-  for (const auto& s : sinks_) s->on_fault(e);
-}
-void MultiSink::on_done(const SweepResult& r) {
-  for (const auto& s : sinks_) s->on_done(r);
-}
-
-// ---------------------------------------------------------------------------
 // CsvSink
 // ---------------------------------------------------------------------------
 

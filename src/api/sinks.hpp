@@ -11,14 +11,13 @@
 //
 // Provided sinks: CsvSink (raw results CSV, byte-identical to
 // write_results_csv), MemorySink (records everything, for tests and
-// in-process consumers), ProgressSink (stderr progress line with ETA),
-// MultiSink (fan-out). The event journal is written by the engine itself
-// (Sweep::checkpoint), not by a sink. Sweep::sink() already fans out, so MultiSink is for nesting
-// pipelines inside code that only accepts a single sink.
+// in-process consumers), ProgressSink (stderr progress line with ETA).
+// Sweep::sink() may be called repeatedly and fans every event out to each
+// sink in registration order. The event journal is written by the engine
+// itself (Sweep::checkpoint), not by a sink.
 #pragma once
 
 #include <cstdio>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -90,23 +89,6 @@ class ResultSink {
   virtual void on_reference(const ReferenceEvent&) {}
   virtual void on_fault(const FaultEvent&) {}
   virtual void on_done(const SweepResult&) {}
-};
-
-/// Fan every event out to a list of child sinks, in registration order.
-class MultiSink final : public ResultSink {
- public:
-  MultiSink() = default;
-  explicit MultiSink(std::vector<std::shared_ptr<ResultSink>> sinks);
-  MultiSink& add(std::shared_ptr<ResultSink> sink);
-
-  void on_meta(const SweepMeta& m) override;
-  void on_run(const RunEvent& e) override;
-  void on_reference(const ReferenceEvent& e) override;
-  void on_fault(const FaultEvent& e) override;
-  void on_done(const SweepResult& r) override;
-
- private:
-  std::vector<std::shared_ptr<ResultSink>> sinks_;
 };
 
 /// Writes the raw per-run results CSV at on_done — byte-identical to

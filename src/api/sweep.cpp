@@ -120,11 +120,6 @@ Sweep& Sweep::sink(std::shared_ptr<ResultSink> s) {
   return *this;
 }
 
-Sweep& Sweep::progress(std::function<void(const ExperimentProgress&)> fn) {
-  progress_ = std::move(fn);
-  return *this;
-}
-
 namespace {
 
 /// The checkpoint journal needs its directory; create it (mkdir -p
@@ -220,7 +215,6 @@ SweepResult Sweep::run() {
       ++executed;
     };
   }
-  if (progress_) sched.on_progress = progress_;
 
   SweepMeta meta;
   meta.config = cfg_;

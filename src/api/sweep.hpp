@@ -15,13 +15,12 @@
 // validates the configuration up front (std::invalid_argument with a
 // precise message instead of a half-started sweep), and drives the
 // task-parallel engine with the ResultSink event pipeline attached.
-// Results are byte-identical to the legacy run_experiment +
-// write_results_csv path for the same corpus/config/threads.
+// Results are byte-identical to a direct run_experiment +
+// write_results_csv call for the same corpus/config/threads.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -98,7 +97,6 @@ class Sweep {
 
   // -- observers ------------------------------------------------------------
   Sweep& sink(std::shared_ptr<ResultSink> s);
-  Sweep& progress(std::function<void(const ExperimentProgress&)> fn);
 
   /// Validate and run. Throws std::invalid_argument on builder-state
   /// errors (empty corpus/formats, duplicate formats, nev == 0, resume
@@ -126,7 +124,6 @@ class Sweep {
   std::string cache_dir_;
   ReferenceCache* shared_cache_ = nullptr;
   std::vector<std::shared_ptr<ResultSink>> sinks_;
-  std::function<void(const ExperimentProgress&)> progress_;
 };
 
 }  // namespace mfla::api

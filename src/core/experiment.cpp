@@ -76,30 +76,6 @@ FormatRun run_format_dynamic(const TestMatrix& tm, const ReferenceSolution& ref,
   return run;
 }
 
-MatrixResult run_matrix(const TestMatrix& tm, const std::vector<FormatId>& formats,
-                        const ExperimentConfig& cfg) {
-  MatrixResult res;
-  res.name = tm.name;
-  res.klass = tm.klass;
-  res.category = tm.category;
-  res.n = tm.n();
-  res.nnz = tm.nnz();
-
-  Rng rng(tm.name, cfg.seed);
-  const std::vector<double> start = rng.unit_vector(tm.n());
-
-  const ReferenceSolution ref = compute_reference_tiered(tm, cfg, start).solution;
-  res.reference_ok = ref.ok;
-  res.reference_failure = ref.failure;
-  if (!ref.ok) return res;
-
-  res.runs.reserve(formats.size());
-  for (const FormatId id : formats) {
-    res.runs.push_back(run_format_dynamic(tm, ref, cfg, start, id));
-  }
-  return res;
-}
-
 namespace {
 
 /// Mutable per-sweep state shared by the scheduled tasks.
@@ -116,7 +92,7 @@ struct EngineState {
   std::atomic<std::size_t> completed{0};
   std::size_t total = 0;
   std::chrono::steady_clock::time_point t0;
-  std::mutex progress_mtx;
+  std::mutex event_mtx;  // serializes on_run / on_reference_failure / on_fault
 
   // Sweep counters (low write rate: once per reference / format run).
   SweepStats sweep;
@@ -160,11 +136,11 @@ struct EngineState {
     sweep.canceled_runs += runs;
   }
 
-  /// Serialized (under the same lock as on_run/on_progress) so sinks see
-  /// fault events interleaved consistently with the run stream.
+  /// Serialized (under the same lock as on_run) so sinks see fault events
+  /// interleaved consistently with the run stream.
   void notify_fault(const ScheduleOptions& sched, const TestMatrix& tm, const SolveFault& f) {
     if (!sched.on_fault) return;
-    std::lock_guard<std::mutex> lk(progress_mtx);
+    std::lock_guard<std::mutex> lk(event_mtx);
     sched.on_fault(tm, f);
   }
 
@@ -181,26 +157,22 @@ struct EngineState {
   }
 
   void complete_run(const ScheduleOptions& sched, const TestMatrix& tm, const FormatRun& run) {
-    if (!sched.on_progress && !sched.on_run) {
+    if (!sched.on_run) {
       completed.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    std::lock_guard<std::mutex> lk(progress_mtx);
-    const ExperimentProgress p = advance(1);
-    if (sched.on_run) sched.on_run(tm, run, p);
-    if (sched.on_progress) sched.on_progress(p);
+    std::lock_guard<std::mutex> lk(event_mtx);
+    sched.on_run(tm, run, advance(1));
   }
 
   void complete_reference_failure(const ScheduleOptions& sched, const TestMatrix& tm,
                                   const std::string& failure, std::size_t retired) {
-    if (!sched.on_progress && !sched.on_reference_failure) {
+    if (!sched.on_reference_failure) {
       completed.fetch_add(retired, std::memory_order_relaxed);
       return;
     }
-    std::lock_guard<std::mutex> lk(progress_mtx);
-    const ExperimentProgress p = advance(retired);
-    if (sched.on_reference_failure) sched.on_reference_failure(tm, failure, p);
-    if (sched.on_progress) sched.on_progress(p);
+    std::lock_guard<std::mutex> lk(event_mtx);
+    sched.on_reference_failure(tm, failure, advance(retired));
   }
 };
 
@@ -433,12 +405,6 @@ std::vector<MatrixResult> run_experiment(const std::vector<TestMatrix>& dataset,
     res.runs = std::move(st.slots[i]);
   }
   return results;
-}
-
-std::vector<MatrixResult> run_experiment(const std::vector<TestMatrix>& dataset,
-                                         const std::vector<FormatId>& formats,
-                                         const ExperimentConfig& cfg) {
-  return run_experiment(dataset, formats, cfg, ScheduleOptions{});
 }
 
 }  // namespace mfla

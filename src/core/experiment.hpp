@@ -19,6 +19,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -32,22 +33,19 @@
 #include "sparse/csr.hpp"
 #include "support/rng.hpp"
 
-// Deprecation markers for the legacy free-function driver surface. The
-// supported entry point is the mfla::api layer (api/sweep.hpp); translation
-// units that deliberately exercise the legacy path (its tests) define
-// MFLA_ALLOW_DEPRECATED before including this header.
-#if defined(MFLA_ALLOW_DEPRECATED)
-#define MFLA_DEPRECATED(msg)
-#else
-#define MFLA_DEPRECATED(msg) [[deprecated(msg)]]
-#endif
-
 namespace mfla {
 
 /// The paper's reference-solve tolerance (float128, §2.2). Shared by
 /// compute_reference and the reference cache key, so changing it here
 /// invalidates every cached reference solution automatically.
 inline constexpr double kReferenceTolerance = 1e-20;
+
+/// Upper bounds on a sweep's size parameters, enforced wherever they arrive
+/// from outside the process (mfla_experiment, mfla_client and the daemon's
+/// request parser), so no request can make a sweep allocate without bound.
+inline constexpr std::uint64_t kMaxCorpusCount = 1000000;  // matrices per corpus class
+inline constexpr std::uint64_t kMaxEigenpairs = 10000;     // nev, and buffer
+inline constexpr std::uint64_t kMaxRestarts = 1000000;     // max_restarts
 
 struct ExperimentConfig {
   std::size_t nev = 10;    // eigenvalue_count (paper: 10 largest)
@@ -178,15 +176,9 @@ FormatRun run_format(const TestMatrix& tm, const ReferenceSolution& ref,
                                            const ExperimentConfig& cfg,
                                            const std::vector<double>& start, FormatId id);
 
-/// Evaluate one matrix across a format list (reference solve + all formats,
-/// sequentially on the calling thread). Deprecated shim: build a one-matrix
-/// sweep with mfla::api::Sweep instead (docs/API.md has the migration table).
-MFLA_DEPRECATED("use mfla::api::Sweep::over({tm}) (docs/API.md)")
-[[nodiscard]] MatrixResult run_matrix(const TestMatrix& tm, const std::vector<FormatId>& formats,
-                                      const ExperimentConfig& cfg);
-
-/// Progress snapshot handed to ScheduleOptions::on_progress after every
-/// completed format run (and after a reference failure retires a matrix).
+/// Progress snapshot handed to ScheduleOptions::on_run after every
+/// completed format run (and to on_reference_failure when a failed
+/// reference retires a matrix).
 struct ExperimentProgress {
   std::size_t done = 0;     // format runs completed (or retired) so far
   std::size_t total = 0;    // format runs this invocation has to produce
@@ -272,12 +264,9 @@ struct ScheduleOptions {
   ReferenceCache* ref_cache = nullptr;
   /// Filled with this invocation's counters when non-null.
   SweepStats* stats = nullptr;
-  /// Invoked (serialized) after each completed run; default: silent.
-  std::function<void(const ExperimentProgress&)> on_progress;
-  /// Invoked (serialized, under the same lock as on_progress and before it)
-  /// with every format run completed by THIS invocation — journal-replayed
-  /// runs are not re-announced. This is the event stream the api layer's
-  /// ResultSink pipeline consumes.
+  /// Invoked (serialized) with every format run completed by THIS
+  /// invocation — journal-replayed runs are not re-announced. This is the
+  /// event stream the api layer's ResultSink pipeline consumes.
   std::function<void(const TestMatrix&, const FormatRun&, const ExperimentProgress&)> on_run;
   /// Invoked (serialized, like on_run) when a reference solve fails and
   /// retires its matrix; the progress snapshot already counts the retired
@@ -297,12 +286,5 @@ struct ScheduleOptions {
                                                        const std::vector<FormatId>& formats,
                                                        const ExperimentConfig& cfg,
                                                        const ScheduleOptions& sched);
-
-/// Convenience overload: default engine options (all cores, no checkpoint).
-/// Deprecated shim: use mfla::api::Sweep, or pass ScheduleOptions{}.
-MFLA_DEPRECATED("use mfla::api::Sweep (docs/API.md)")
-[[nodiscard]] std::vector<MatrixResult> run_experiment(const std::vector<TestMatrix>& dataset,
-                                                       const std::vector<FormatId>& formats,
-                                                       const ExperimentConfig& cfg = {});
 
 }  // namespace mfla

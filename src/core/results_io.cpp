@@ -136,6 +136,9 @@ using jsonl::field_u64;
 using jsonl::field_u64_or;
 using jsonl::JsonLine;
 
+/// Schema version stamped into the journal's meta record.
+constexpr int kJournalVersion = 1;
+
 JournalMeta make_journal_meta(const ExperimentConfig& cfg, const std::vector<FormatId>& formats,
                               std::size_t matrix_count) {
   JournalMeta m;
@@ -203,10 +206,14 @@ void JournalWriter::append_line(const std::string& line) {
   if (!out_) throw IoError("journal: write failed (disk full or file removed?)");
 }
 
-void JournalWriter::write_meta(const JournalMeta& meta) {
+// ---------------------------------------------------------------------------
+// Record codec
+// ---------------------------------------------------------------------------
+
+JsonLine meta_record(const JournalMeta& meta, int version) {
   JsonLine j;
   j.str("type", "meta")
-      .integer("version", 1)
+      .integer("version", version)
       .uint("nev", meta.nev)
       .uint("buffer", meta.buffer)
       .integer("which", meta.which)
@@ -216,19 +223,11 @@ void JournalWriter::write_meta(const JournalMeta& meta) {
       .integer("ref_tier", meta.reference_tier)
       .str("formats", meta.formats)
       .uint("matrices", meta.matrix_count);
-  append_line(j.finish());
+  return j;
 }
 
-void JournalWriter::write_reference_failure(const std::string& matrix, std::size_t n,
-                                            std::size_t nnz, const std::string& failure) {
-  JsonLine j;
-  j.str("type", "reference").str("matrix", matrix).uint("n", n).uint("nnz", nnz).str("failure",
-                                                                                     failure);
-  append_line(j.finish());
-}
-
-void JournalWriter::write_run(const std::string& matrix, std::size_t n, std::size_t nnz,
-                              const FormatRun& run) {
+JsonLine run_record(const std::string& matrix, std::size_t n, std::size_t nnz,
+                    const FormatRun& run) {
   JsonLine j;
   j.str("type", "run")
       .str("matrix", matrix)
@@ -246,7 +245,73 @@ void JournalWriter::write_run(const std::string& matrix, std::size_t n, std::siz
       .uint("matvecs", run.matvecs)
       .num("duration", run.duration_seconds)
       .str("failure", run.failure);
-  append_line(j.finish());
+  return j;
+}
+
+JsonLine reference_record(const std::string& matrix, std::size_t n, std::size_t nnz,
+                          const std::string& failure) {
+  JsonLine j;
+  j.str("type", "reference").str("matrix", matrix).uint("n", n).uint("nnz", nnz).str("failure",
+                                                                                     failure);
+  return j;
+}
+
+JournalMeta meta_from_record(const std::map<std::string, std::string>& obj) {
+  JournalMeta m;
+  m.nev = field_u64(obj, "nev");
+  m.buffer = field_u64(obj, "buffer");
+  m.which = static_cast<int>(field_u64(obj, "which"));
+  m.max_restarts = static_cast<int>(field_u64(obj, "restarts"));
+  m.reference_max_restarts = static_cast<int>(field_u64(obj, "ref_restarts"));
+  m.seed = field_u64(obj, "seed");
+  m.reference_tier = static_cast<int>(field_u64_or(obj, "ref_tier", 0));
+  m.formats = field_str(obj, "formats");
+  m.matrix_count = field_u64(obj, "matrices");
+  return m;
+}
+
+JournalRun run_from_record(const std::map<std::string, std::string>& obj) {
+  JournalRun jr;
+  jr.matrix = field_str(obj, "matrix");
+  jr.n = field_u64(obj, "n");
+  jr.nnz = field_u64(obj, "nnz");
+  FormatRun& run = jr.run;
+  run.format = format_from_name(field_str(obj, "format"));
+  run.outcome = outcome_from_name(field_str(obj, "outcome"));
+  run.eigenvalue_error.absolute = field_num(obj, "eig_abs");
+  run.eigenvalue_error.relative = field_num(obj, "eig_rel");
+  run.eigenvector_error.absolute = field_num(obj, "vec_abs");
+  run.eigenvector_error.relative = field_num(obj, "vec_rel");
+  run.mean_similarity = field_num(obj, "similarity");
+  run.nconverged = field_u64(obj, "nconv");
+  run.restarts = static_cast<int>(field_num(obj, "restarts"));
+  run.matvecs = field_u64(obj, "matvecs");
+  run.duration_seconds = field_num_or(obj, "duration", 0.0);
+  run.failure = field_str(obj, "failure");
+  return jr;
+}
+
+JournalReferenceFailure reference_from_record(const std::map<std::string, std::string>& obj) {
+  JournalReferenceFailure rf;
+  rf.matrix = field_str(obj, "matrix");
+  rf.n = field_u64(obj, "n");
+  rf.nnz = field_u64(obj, "nnz");
+  rf.failure = field_str(obj, "failure");
+  return rf;
+}
+
+void JournalWriter::write_meta(const JournalMeta& meta) {
+  append_line(meta_record(meta, kJournalVersion).finish());
+}
+
+void JournalWriter::write_reference_failure(const std::string& matrix, std::size_t n,
+                                            std::size_t nnz, const std::string& failure) {
+  append_line(reference_record(matrix, n, nnz, failure).finish());
+}
+
+void JournalWriter::write_run(const std::string& matrix, std::size_t n, std::size_t nnz,
+                              const FormatRun& run) {
+  append_line(run_record(matrix, n, nnz, run).finish());
 }
 
 JournalContents read_journal(const std::string& path) {
@@ -264,40 +329,14 @@ JournalContents read_journal(const std::string& path) {
     try {
       const std::string type = field_str(obj, "type");
       if (type == "meta") {
-        jc.meta.nev = field_u64(obj, "nev");
-        jc.meta.buffer = field_u64(obj, "buffer");
-        jc.meta.which = static_cast<int>(field_u64(obj, "which"));
-        jc.meta.max_restarts = static_cast<int>(field_u64(obj, "restarts"));
-        jc.meta.reference_max_restarts = static_cast<int>(field_u64(obj, "ref_restarts"));
-        jc.meta.seed = field_u64(obj, "seed");
-        jc.meta.reference_tier = static_cast<int>(field_u64_or(obj, "ref_tier", 0));
-        jc.meta.formats = field_str(obj, "formats");
-        jc.meta.matrix_count = field_u64(obj, "matrices");
+        jc.meta = meta_from_record(obj);
         jc.has_meta = true;
       } else if (type == "reference") {
-        JournalReferenceFailure rf;
-        rf.failure = field_str(obj, "failure");
-        rf.n = field_u64(obj, "n");
-        rf.nnz = field_u64(obj, "nnz");
-        jc.reference_failures.insert_or_assign(field_str(obj, "matrix"), rf);
+        JournalReferenceFailure rf = reference_from_record(obj);
+        jc.reference_failures.insert_or_assign(rf.matrix, std::move(rf));
       } else if (type == "run") {
-        JournalRun jr;
-        jr.n = field_u64(obj, "n");
-        jr.nnz = field_u64(obj, "nnz");
-        FormatRun& run = jr.run;
-        run.format = format_from_name(field_str(obj, "format"));
-        run.outcome = outcome_from_name(field_str(obj, "outcome"));
-        run.eigenvalue_error.absolute = field_num(obj, "eig_abs");
-        run.eigenvalue_error.relative = field_num(obj, "eig_rel");
-        run.eigenvector_error.absolute = field_num(obj, "vec_abs");
-        run.eigenvector_error.relative = field_num(obj, "vec_rel");
-        run.mean_similarity = field_num(obj, "similarity");
-        run.nconverged = field_u64(obj, "nconv");
-        run.restarts = static_cast<int>(field_num(obj, "restarts"));
-        run.matvecs = field_u64(obj, "matvecs");
-        run.duration_seconds = field_num_or(obj, "duration", 0.0);
-        run.failure = field_str(obj, "failure");
-        jc.runs.insert_or_assign({field_str(obj, "matrix"), run.format}, jr);
+        JournalRun jr = run_from_record(obj);
+        jc.runs.insert_or_assign({jr.matrix, jr.run.format}, std::move(jr));
       } else {
         ++jc.skipped_lines;  // unknown record type (newer writer?)
       }

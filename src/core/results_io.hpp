@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "support/jsonl.hpp"
 
 namespace mfla {
 
@@ -92,19 +93,45 @@ class JournalWriter {
   std::uint64_t truncated_bytes_ = 0;
 };
 
-/// A journaled per-format run, stamped with the matrix dimensions so a
-/// resume can reject entries for a matrix whose contents changed on disk.
+/// A run record: one per-format run, stamped with its matrix's name and
+/// dimensions so a resume can reject entries for a matrix whose contents
+/// changed on disk.
 struct JournalRun {
-  FormatRun run;
+  std::string matrix;
   std::size_t n = 0;
   std::size_t nnz = 0;
+  FormatRun run;
 };
 
+/// A reference record: a failed reference solve that retired its matrix.
 struct JournalReferenceFailure {
-  std::string failure;
+  std::string matrix;
   std::size_t n = 0;
   std::size_t nnz = 0;
+  std::string failure;
 };
+
+// ---------------------------------------------------------------------------
+// Record codec. The meta, run and reference records have one field list
+// each, defined here: the journal writes the records as they are, and the
+// serve protocol (serve/protocol.hpp) streams the same records with its own
+// extras appended (total_runs, replayed). Decoding is strict — a record
+// missing any field, `failure` included, throws std::invalid_argument.
+// ---------------------------------------------------------------------------
+
+/// Start a record line holding every field of the record, in order; the
+/// caller may append extra fields before JsonLine::finish(). `version` is
+/// the writer's schema version (the journal's or the protocol's).
+[[nodiscard]] jsonl::JsonLine meta_record(const JournalMeta& meta, int version);
+[[nodiscard]] jsonl::JsonLine run_record(const std::string& matrix, std::size_t n,
+                                         std::size_t nnz, const FormatRun& run);
+[[nodiscard]] jsonl::JsonLine reference_record(const std::string& matrix, std::size_t n,
+                                               std::size_t nnz, const std::string& failure);
+
+[[nodiscard]] JournalMeta meta_from_record(const std::map<std::string, std::string>& obj);
+[[nodiscard]] JournalRun run_from_record(const std::map<std::string, std::string>& obj);
+[[nodiscard]] JournalReferenceFailure reference_from_record(
+    const std::map<std::string, std::string>& obj);
 
 /// Everything a journal recorded, keyed for resume lookups. Torn or
 /// otherwise unparseable lines are counted, not fatal.

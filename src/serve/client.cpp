@@ -6,6 +6,7 @@
 
 #include "arith/format_registry.hpp"
 #include "core/errors.hpp"
+#include "core/results_io.hpp"
 #include "serve/net.hpp"
 #include "support/jsonl.hpp"
 
@@ -85,7 +86,7 @@ ClientResult run_sweep(const ClientOptions& opts, const SweepRequest& req) {
           return protocol_error("server speaks protocol version " + std::to_string(version) +
                                 ", this client speaks " + std::to_string(kProtocolVersion));
       } else if (ev.type == "meta") {
-        format_names = split_names(jsonl::field_str(ev.fields, "formats"));
+        format_names = split_names(meta_from_record(ev.fields).formats);
         for (std::size_t i = 0; i < format_names.size(); ++i)
           format_index[format_names[i]] = i;
       } else if (ev.type == "matrix") {
@@ -103,24 +104,23 @@ ClientResult run_sweep(const ClientOptions& opts, const SweepRequest& req) {
         out.results.push_back(std::move(mr));
         filled.emplace_back(format_names.size(), false);
       } else if (ev.type == "run") {
-        const std::string name = jsonl::field_str(ev.fields, "matrix");
-        const auto mi = matrix_index.find(name);
+        JournalRun rec = run_from_record(ev.fields);
+        const auto mi = matrix_index.find(rec.matrix);
         if (mi == matrix_index.end())
-          return protocol_error("run event for unannounced matrix '" + name + "'");
-        const FormatRun run = run_from_event(ev);
-        const auto fi = format_index.find(format_info(run.format).name);
+          return protocol_error("run event for unannounced matrix '" + rec.matrix + "'");
+        const auto fi = format_index.find(format_info(rec.run.format).name);
         if (fi == format_index.end())
           return protocol_error("run event for format outside the meta list");
-        out.results[mi->second].runs[fi->second] = run;
+        out.results[mi->second].runs[fi->second] = std::move(rec.run);
         filled[mi->second][fi->second] = true;
       } else if (ev.type == "reference") {
-        const std::string name = jsonl::field_str(ev.fields, "matrix");
-        const auto mi = matrix_index.find(name);
+        JournalReferenceFailure rec = reference_from_record(ev.fields);
+        const auto mi = matrix_index.find(rec.matrix);
         if (mi == matrix_index.end())
-          return protocol_error("reference event for unannounced matrix '" + name + "'");
+          return protocol_error("reference event for unannounced matrix '" + rec.matrix + "'");
         MatrixResult& mr = out.results[mi->second];
         mr.reference_ok = false;
-        mr.reference_failure = jsonl::field_str_or(ev.fields, "failure", "");
+        mr.reference_failure = std::move(rec.failure);
         mr.runs.clear();
       } else if (ev.type == "done") {
         done_status = jsonl::field_str(ev.fields, "status");

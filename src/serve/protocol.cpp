@@ -44,15 +44,25 @@ bool parse_request(const std::string& line, Request& out, std::string& error) {
   }
   out.kind = Request::Kind::sweep;
   SweepRequest r;  // defaults for absent fields
+  // Size fields carry the batch CLI's bounds: the server builds the dataset
+  // on the connection thread before admission, so an unbounded count or
+  // nev would let one request allocate without limit.
+  const auto bounded = [&obj](const char* key, std::uint64_t fallback, std::uint64_t max) {
+    const std::uint64_t v = jsonl::field_u64_or(obj, key, fallback);
+    if (v > max)
+      throw std::invalid_argument(std::string(key) + " " + std::to_string(v) + " exceeds " +
+                                  std::to_string(max));
+    return v;
+  };
   try {
     r.tenant = jsonl::field_str_or(obj, "tenant", r.tenant);
     r.corpus = jsonl::field_str_or(obj, "corpus", r.corpus);
-    r.count = static_cast<std::size_t>(jsonl::field_u64_or(obj, "count", r.count));
+    r.count = static_cast<std::size_t>(bounded("count", r.count, kMaxCorpusCount));
     r.formats = jsonl::field_str_or(obj, "formats", r.formats);
-    r.nev = static_cast<std::size_t>(jsonl::field_u64_or(obj, "nev", r.nev));
-    r.buffer = static_cast<std::size_t>(jsonl::field_u64_or(obj, "buffer", r.buffer));
+    r.nev = static_cast<std::size_t>(bounded("nev", r.nev, kMaxEigenpairs));
+    r.buffer = static_cast<std::size_t>(bounded("buffer", r.buffer, kMaxEigenpairs));
     r.restarts = static_cast<int>(
-        jsonl::field_u64_or(obj, "restarts", static_cast<std::uint64_t>(r.restarts)));
+        bounded("restarts", static_cast<std::uint64_t>(r.restarts), kMaxRestarts));
     r.which = jsonl::field_str_or(obj, "which", r.which);
     r.seed = jsonl::field_u64_or(obj, "seed", r.seed);
     r.ref_tier = jsonl::field_str_or(obj, "ref_tier", r.ref_tier);
@@ -139,25 +149,9 @@ std::string rejected_line(const std::string& reason, const std::string& detail) 
 }
 
 std::string meta_line(const api::SweepMeta& m) {
-  std::string formats;
-  for (const FormatId id : m.formats) {
-    if (!formats.empty()) formats += ',';
-    formats += format_info(id).name;
-  }
-  JsonLine j;
-  j.str("type", "meta")
-      .integer("version", kProtocolVersion)
-      .uint("nev", m.config.nev)
-      .uint("buffer", m.config.buffer)
-      .integer("which", static_cast<int>(m.config.which))
-      .integer("restarts", m.config.max_restarts)
-      .integer("ref_restarts", m.config.reference_max_restarts)
-      .uint("seed", m.config.seed)
-      .integer("ref_tier", static_cast<int>(m.config.reference_tier))
-      .str("formats", formats)
-      .uint("matrices", m.matrix_count)
-      .uint("total_runs", m.total_runs);
-  return j.finish();
+  return meta_record(make_journal_meta(m.config, m.formats, m.matrix_count), kProtocolVersion)
+      .uint("total_runs", m.total_runs)
+      .finish();
 }
 
 std::string matrix_line(const TestMatrix& tm, std::size_t index) {
@@ -174,37 +168,14 @@ std::string matrix_line(const TestMatrix& tm, std::size_t index) {
 
 std::string run_line(const std::string& matrix, std::size_t n, std::size_t nnz,
                      const FormatRun& run, bool replayed) {
-  // Field names follow the checkpoint journal's run lines so the two
-  // formats stay mentally interchangeable.
-  JsonLine j;
-  j.str("type", "run")
-      .str("matrix", matrix)
-      .uint("n", n)
-      .uint("nnz", nnz)
-      .str("format", format_info(run.format).name)
-      .str("outcome", outcome_name(run.outcome))
-      .num("eig_abs", run.eigenvalue_error.absolute)
-      .num("eig_rel", run.eigenvalue_error.relative)
-      .num("vec_abs", run.eigenvector_error.absolute)
-      .num("vec_rel", run.eigenvector_error.relative)
-      .num("similarity", run.mean_similarity)
-      .uint("nconv", run.nconverged)
-      .integer("restarts", run.restarts)
-      .uint("matvecs", run.matvecs)
-      .num("duration", run.duration_seconds)
-      .str("failure", run.failure);
+  JsonLine j = run_record(matrix, n, nnz, run);
   if (replayed) j.uint("replayed", 1);
   return j.finish();
 }
 
 std::string reference_line(const std::string& matrix, std::size_t n, std::size_t nnz,
                            const std::string& failure, bool replayed) {
-  JsonLine j;
-  j.str("type", "reference")
-      .str("matrix", matrix)
-      .uint("n", n)
-      .uint("nnz", nnz)
-      .str("failure", failure);
+  JsonLine j = reference_record(matrix, n, nnz, failure);
   if (replayed) j.uint("replayed", 1);
   return j.finish();
 }
@@ -243,24 +214,6 @@ bool parse_event(const std::string& line, Event& out) {
   if (type == out.fields.end()) return false;
   out.type = type->second;
   return true;
-}
-
-FormatRun run_from_event(const Event& e) {
-  const auto& f = e.fields;
-  FormatRun run;
-  run.format = format_from_name(jsonl::field_str(f, "format"));
-  run.outcome = outcome_from_name(jsonl::field_str(f, "outcome"));
-  run.eigenvalue_error.absolute = jsonl::field_num(f, "eig_abs");
-  run.eigenvalue_error.relative = jsonl::field_num(f, "eig_rel");
-  run.eigenvector_error.absolute = jsonl::field_num(f, "vec_abs");
-  run.eigenvector_error.relative = jsonl::field_num(f, "vec_rel");
-  run.mean_similarity = jsonl::field_num(f, "similarity");
-  run.nconverged = static_cast<std::size_t>(jsonl::field_u64(f, "nconv"));
-  run.restarts = static_cast<int>(jsonl::field_num(f, "restarts"));
-  run.matvecs = static_cast<std::size_t>(jsonl::field_u64(f, "matvecs"));
-  run.duration_seconds = jsonl::field_num_or(f, "duration", 0.0);
-  run.failure = jsonl::field_str_or(f, "failure", "");
-  return run;
 }
 
 }  // namespace mfla::serve

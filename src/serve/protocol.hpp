@@ -14,10 +14,14 @@
 //            ...
 //            {"type":"done","status":"ok",...}
 //
-// or a single {"type":"rejected","reason":...} line. Every numeric field
-// round-trips doubles exactly (%.17g), so a client can reconstruct
-// MatrixResult structs — and therefore a CSV byte-identical to
-// mfla_experiment's — from the stream alone.
+// or a single {"type":"rejected","reason":...} line. The meta, run and
+// reference lines are the checkpoint journal's records (the record codec in
+// core/results_io.hpp) plus the protocol's extras: total_runs on meta,
+// replayed on re-streamed results; clients decode them with the same
+// *_from_record functions. Every numeric field round-trips doubles exactly
+// (%.17g), so a client can reconstruct MatrixResult structs — and
+// therefore a CSV byte-identical to mfla_experiment's — from the stream
+// alone.
 #pragma once
 
 #include <cstdint>
@@ -115,9 +119,5 @@ struct Event {
 
 /// Parse one response line; false on malformed JSON or a missing type.
 [[nodiscard]] bool parse_event(const std::string& line, Event& out);
-
-/// Decode a "run" event's FormatRun payload (exact double round-trip).
-/// Throws std::invalid_argument on missing/malformed fields.
-[[nodiscard]] FormatRun run_from_event(const Event& e);
 
 }  // namespace mfla::serve

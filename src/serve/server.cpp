@@ -13,8 +13,7 @@
 
 #include "api/sweep.hpp"
 #include "core/errors.hpp"
-#include "datasets/general_corpus.hpp"
-#include "datasets/graph_corpus.hpp"
+#include "datasets/corpus.hpp"
 #include "support/failpoint.hpp"
 #include "support/jsonl.hpp"
 
@@ -30,26 +29,6 @@ Which which_from_name(const std::string& name) {
   throw std::invalid_argument(
       "unknown which '" + name +
       "' (expected largest_magnitude|smallest_magnitude|largest_real|smallest_real)");
-}
-
-/// Mirror mfla_experiment's corpus assembly exactly — same options, same
-/// builders — so a daemon sweep and a batch sweep over the same request
-/// produce byte-identical CSVs.
-std::vector<TestMatrix> build_dataset(const SweepRequest& req) {
-  if (req.corpus == "general") {
-    GeneralCorpusOptions opts;
-    opts.count = req.count;
-    return build_general_corpus(opts);
-  }
-  if (req.corpus == "biological" || req.corpus == "infrastructure" || req.corpus == "social" ||
-      req.corpus == "miscellaneous") {
-    GraphCorpusOptions opts;
-    opts.counts = {req.count, req.count, req.count, req.count};
-    return build_graph_corpus(opts, req.corpus);
-  }
-  throw std::invalid_argument(
-      "unknown corpus '" + req.corpus +
-      "' (expected general|biological|infrastructure|social|miscellaneous)");
 }
 
 /// ResultSink that serializes every engine event onto the connection
@@ -236,7 +215,7 @@ void Server::run_sweep(Conn& conn, const SweepRequest& req) {
     formats = parse_format_keys(req.formats);
     which = which_from_name(req.which);
     tier = reference_tier_from_name(req.ref_tier);
-    dataset = build_dataset(req);
+    dataset = build_named_corpus(req.corpus, req.count);
   } catch (const std::exception& e) {
     malformed_.fetch_add(1, std::memory_order_relaxed);
     (void)send_line(fd, rejected_line("bad_request", e.what()), werr);

@@ -1,11 +1,6 @@
-// mfla::api facade tests: SweepBuilder-vs-legacy byte identity, the
+// mfla::api facade tests: SweepBuilder-vs-direct-engine byte identity, the
 // ResultSink event pipeline (ordering and serialization under threads=N),
-// registry-driven format keys, and
-// invalid-builder-state errors.
-//
-// The legacy cross-checks intentionally drive the deprecated free-function
-// surface.
-#define MFLA_ALLOW_DEPRECATED
+// registry-driven format keys, and invalid-builder-state errors.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -112,7 +107,7 @@ TEST(FormatRegistry, DispatchFormatRejectsForgedIds) {
 }
 
 // ---------------------------------------------------------------------------
-// SweepBuilder vs legacy engine: byte-identical results
+// SweepBuilder vs a direct engine call: byte-identical results
 // ---------------------------------------------------------------------------
 
 TEST(SweepBuilder, ByteIdenticalToLegacyPath) {
@@ -120,7 +115,7 @@ TEST(SweepBuilder, ByteIdenticalToLegacyPath) {
   const auto formats = api_formats();
   const auto cfg = api_config();
 
-  // Legacy: the raw engine + write_results_csv.
+  // The engine called directly, then write_results_csv.
   ScheduleOptions sched;
   sched.threads = 2;
   const std::string legacy_csv = csv_of(run_experiment(ds, formats, cfg, sched), "legacy");
@@ -171,17 +166,19 @@ TEST(SweepBuilder, FluentNumericalSettersMatchConfigStruct) {
 // Sink pipeline
 // ---------------------------------------------------------------------------
 
-TEST(SinkPipeline, MultiSinkOrderingAndSerializationUnderThreads) {
+TEST(SinkPipeline, FanOutOrderingAndSerializationUnderThreads) {
   const auto ds = api_dataset();
   const auto formats = api_formats();
 
   auto a = std::make_shared<api::MemorySink>();
   auto b = std::make_shared<api::MemorySink>();
-  auto multi = std::make_shared<api::MultiSink>();
-  multi->add(a).add(b);
-
-  const api::SweepResult sweep =
-      api::Sweep::over(ds).formats(formats).config(api_config()).threads(4).sink(multi).run();
+  const api::SweepResult sweep = api::Sweep::over(ds)
+                                     .formats(formats)
+                                     .config(api_config())
+                                     .threads(4)
+                                     .sink(a)
+                                     .sink(b)
+                                     .run();
 
   for (const auto& sink : {a, b}) {
     ASSERT_TRUE(sink->has_meta());

@@ -1,8 +1,6 @@
 // End-to-end experiment pipeline tests: reference solve, per-format runs,
-// outcome classification (∞ω / ∞σ), distributions and reports. These tests
-// pin the legacy free-function driver surface (run_matrix), which stays
-// supported behind the api facade.
-#define MFLA_ALLOW_DEPRECATED
+// outcome classification (∞ω / ∞σ), distributions and reports, driven
+// through the engine entry point run_experiment.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -30,6 +28,12 @@ ExperimentConfig fast_config() {
   return cfg;
 }
 
+/// One matrix through the engine with default schedule options.
+MatrixResult run_one(const TestMatrix& tm, const std::vector<FormatId>& formats,
+                     const ExperimentConfig& cfg) {
+  return run_experiment({tm}, formats, cfg, ScheduleOptions{}).front();
+}
+
 TEST(Experiment, ReferenceSolveConverges) {
   Rng rng(1001);
   const auto tm = laplacian_test_matrix("ref_test", stochastic_block(80, 2, 0.3, 0.03, rng));
@@ -53,7 +57,7 @@ TEST(Experiment, ReferenceSolveConverges) {
 TEST(Experiment, Float64NearExact) {
   Rng rng(1002);
   const auto tm = laplacian_test_matrix("f64_test", erdos_renyi(100, 0.08, rng));
-  const auto res = run_matrix(tm, {FormatId::float64}, fast_config());
+  const auto res = run_one(tm, {FormatId::float64}, fast_config());
   ASSERT_TRUE(res.reference_ok) << res.reference_failure;
   ASSERT_EQ(res.runs.size(), 1u);
   EXPECT_EQ(res.runs[0].outcome, RunOutcome::ok);
@@ -72,8 +76,8 @@ TEST(Experiment, RangeExceededClassification) {
   TestMatrix tm = make_test_matrix("sigma_test", "general", "widerange",
                                    coo);
   const auto res =
-      run_matrix(tm, {FormatId::ofp8_e4m3, FormatId::float16, FormatId::takum8, FormatId::float64},
-                 fast_config());
+      run_one(tm, {FormatId::ofp8_e4m3, FormatId::float16, FormatId::takum8, FormatId::float64},
+              fast_config());
   ASSERT_TRUE(res.reference_ok);
   EXPECT_EQ(res.runs[0].outcome, RunOutcome::range_exceeded);  // E4M3: 1e7 >> 448
   EXPECT_EQ(res.runs[1].outcome, RunOutcome::range_exceeded);  // float16: 1e7 >> 65504
@@ -86,7 +90,7 @@ TEST(Experiment, NoConvergenceClassification) {
   cfg.max_restarts = 0;  // impossible budget
   Rng rng(1003);
   const auto tm = laplacian_test_matrix("omega_test", erdos_renyi(120, 0.06, rng));
-  const auto res = run_matrix(tm, {FormatId::float32}, cfg);
+  const auto res = run_one(tm, {FormatId::float32}, cfg);
   ASSERT_TRUE(res.reference_ok);
   EXPECT_EQ(res.runs[0].outcome, RunOutcome::no_convergence);
 }
@@ -99,10 +103,10 @@ TEST(Experiment, MultiFormatOrdering) {
       laplacian_test_matrix("order_test_1004", stochastic_block(110, 3, 0.3, 0.02, rng));
   ExperimentConfig cfg = fast_config();
   cfg.max_restarts = 100;
-  const auto res = run_matrix(tm,
-                              {FormatId::float16, FormatId::bfloat16, FormatId::takum16,
-                               FormatId::float32, FormatId::takum32},
-                              cfg);
+  const auto res = run_one(tm,
+                           {FormatId::float16, FormatId::bfloat16, FormatId::takum16,
+                            FormatId::float32, FormatId::takum32},
+                           cfg);
   ASSERT_TRUE(res.reference_ok);
   const auto& f16 = res.runs[0];
   const auto& bf16 = res.runs[1];
@@ -128,8 +132,8 @@ TEST(Experiment, RunExperimentOverDataset) {
   gopts.max_n = 60;
   const auto dataset = build_general_corpus(gopts);
   ASSERT_GE(dataset.size(), 5u);
-  const auto results =
-      run_experiment(dataset, {FormatId::float64, FormatId::takum64}, fast_config());
+  const auto results = run_experiment(dataset, {FormatId::float64, FormatId::takum64},
+                                      fast_config(), ScheduleOptions{});
   EXPECT_EQ(results.size(), dataset.size());
   std::size_t ok_refs = 0;
   for (const auto& r : results) {

@@ -1,12 +1,12 @@
 // Task-parallel engine tests: thread-count invariance (bit-identical CSVs),
 // checkpoint journal round-trips, resume after a simulated crash, meta
-// validation, and reference-failure journaling. Cross-checks against the
-// legacy run_matrix path deliberately.
-#define MFLA_ALLOW_DEPRECATED
+// validation, and reference-failure journaling. Cross-checks against a
+// serial per-matrix pipeline written out over the public stages.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -62,6 +62,35 @@ std::string csv_of(const std::vector<MatrixResult>& results, const std::string& 
   return data;
 }
 
+/// The serial per-matrix pipeline over the public stages (tiered reference
+/// solve, then every format in order on the calling thread): the oracle
+/// the scheduled engine must reproduce bit for bit.
+MatrixResult serial_matrix_oracle(const TestMatrix& tm, const std::vector<FormatId>& formats,
+                                  const ExperimentConfig& cfg) {
+  MatrixResult res;
+  res.name = tm.name;
+  res.klass = tm.klass;
+  res.category = tm.category;
+  res.n = tm.n();
+  res.nnz = tm.nnz();
+  Rng rng(tm.name, cfg.seed);
+  const std::vector<double> start = rng.unit_vector(tm.n());
+  const ReferenceSolution ref = compute_reference_tiered(tm, cfg, start).solution;
+  res.reference_ok = ref.ok;
+  res.reference_failure = ref.failure;
+  if (!ref.ok) return res;
+  for (const FormatId id : formats) res.runs.push_back(run_format_dynamic(tm, ref, cfg, start, id));
+  return res;
+}
+
+/// Route every progress snapshot the engine hands out — completed runs and
+/// reference failures that retire a matrix — to `fn`.
+void observe_progress(ScheduleOptions& sched, std::function<void(const ExperimentProgress&)> fn) {
+  sched.on_run = [fn](const TestMatrix&, const FormatRun&, const ExperimentProgress& p) { fn(p); };
+  sched.on_reference_failure = [fn](const TestMatrix&, const std::string&,
+                                    const ExperimentProgress& p) { fn(p); };
+}
+
 TEST(ExperimentEngine, ThreadCountInvariantResults) {
   const auto ds = engine_dataset();
   const auto formats = engine_formats();
@@ -74,10 +103,10 @@ TEST(ExperimentEngine, ThreadCountInvariantResults) {
 
   const auto r1 = run_experiment(ds, formats, cfg, serial);
   const auto r4 = run_experiment(ds, formats, cfg, parallel);
-  // Legacy per-matrix path must agree too.
+  // The serial per-matrix pipeline must agree too.
   std::vector<MatrixResult> expected;
   expected.reserve(ds.size());
-  for (const auto& tm : ds) expected.push_back(run_matrix(tm, formats, cfg));
+  for (const auto& tm : ds) expected.push_back(serial_matrix_oracle(tm, formats, cfg));
 
   const std::string csv1 = csv_of(r1, "t1");
   EXPECT_FALSE(csv1.empty());
@@ -149,7 +178,8 @@ TEST(ExperimentEngine, ResumeAfterTruncationMatchesUninterruptedRun) {
   resume.checkpoint_path = ck_cut;
   resume.resume = true;
   std::size_t resumed_total = 0;
-  resume.on_progress = [&resumed_total](const ExperimentProgress& p) { resumed_total = p.total; };
+  observe_progress(resume,
+                   [&resumed_total](const ExperimentProgress& p) { resumed_total = p.total; });
   const std::string csv_resumed = csv_of(run_experiment(ds, formats, cfg, resume), "resumed");
 
   EXPECT_EQ(csv_full, csv_resumed);
@@ -158,7 +188,7 @@ TEST(ExperimentEngine, ResumeAfterTruncationMatchesUninterruptedRun) {
   // The journal is now complete again: a second resume schedules nothing.
   ScheduleOptions noop = resume;
   bool progressed = false;
-  noop.on_progress = [&progressed](const ExperimentProgress&) { progressed = true; };
+  observe_progress(noop, [&progressed](const ExperimentProgress&) { progressed = true; });
   const std::string csv_noop = csv_of(run_experiment(ds, formats, cfg, noop), "noop");
   EXPECT_EQ(csv_full, csv_noop);
   EXPECT_FALSE(progressed);
@@ -236,7 +266,7 @@ TEST(ExperimentEngine, ReferenceFailureJournaledAndSkippedOnResume) {
   ScheduleOptions resume = sched;
   resume.resume = true;
   bool progressed = false;
-  resume.on_progress = [&progressed](const ExperimentProgress&) { progressed = true; };
+  observe_progress(resume, [&progressed](const ExperimentProgress&) { progressed = true; });
   const auto resumed = run_experiment(ds, formats, cfg, resume);
   EXPECT_FALSE(progressed);  // failures were replayed, not recomputed
   EXPECT_EQ(csv_of(results, "reffail_a"), csv_of(resumed, "reffail_b"));
@@ -274,7 +304,7 @@ TEST(ExperimentEngine, FaultRunsJournaledAndReplayedOnResume) {
   resume.resume = true;
   resume.stats = &resume_stats;
   bool progressed = false;
-  resume.on_progress = [&progressed](const ExperimentProgress&) { progressed = true; };
+  observe_progress(resume, [&progressed](const ExperimentProgress&) { progressed = true; });
   const auto resumed = run_experiment(ds, formats, cfg, resume);
   EXPECT_FALSE(progressed);  // everything replayed, nothing re-solved
   EXPECT_EQ(resume_stats.journal_replayed_runs, ds.size() * formats.size());
@@ -303,7 +333,7 @@ TEST(ExperimentEngine, ResumeRecomputesMatrixWhoseContentsChanged) {
   ScheduleOptions resume = sched;
   resume.resume = true;
   std::size_t total = 0;
-  resume.on_progress = [&total](const ExperimentProgress& p) { total = p.total; };
+  observe_progress(resume, [&total](const ExperimentProgress& p) { total = p.total; });
   const auto resumed = run_experiment(ds, formats, cfg, resume);
   EXPECT_EQ(total, formats.size());  // only the changed matrix was rerun
   EXPECT_EQ(resumed[0].n, ds[0].n());

@@ -1,8 +1,6 @@
 // Robustness / failure-injection tests: degenerate inputs, poisoned
 // values, overflow paths — the library must fail gracefully (reported
-// outcome, no crash, no silent garbage) in every case. Exercises the
-// legacy run_matrix path deliberately.
-#define MFLA_ALLOW_DEPRECATED
+// outcome, no crash, no silent garbage) in every case.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -95,7 +93,8 @@ TEST(Robustness, Float16MatvecOverflowClassifiedOmega) {
   tm.matrix = a;
   ExperimentConfig cfg;
   cfg.max_restarts = 30;
-  const auto res = run_matrix(tm, {FormatId::float16, FormatId::takum16}, cfg);
+  const auto res =
+      run_experiment({tm}, {FormatId::float16, FormatId::takum16}, cfg, ScheduleOptions{}).front();
   ASSERT_TRUE(res.reference_ok) << res.reference_failure;
   EXPECT_EQ(res.runs[0].outcome, RunOutcome::no_convergence);  // fp16 overflow -> NaN
   // takum16 saturates instead of overflowing: it may converge or not, but
@@ -104,7 +103,7 @@ TEST(Robustness, Float16MatvecOverflowClassifiedOmega) {
 }
 
 TEST(Robustness, TinyMatrixReferencePath) {
-  // n too small for nev + buffer: the solver reports failure, run_matrix
+  // n too small for nev + buffer: the solver reports failure, the engine
   // surfaces it as a reference failure, nothing crashes.
   const auto a = from_entries(6, {{0, 0, 2.0}, {1, 1, 1.0}, {2, 2, 3.0}});
   TestMatrix tm;
@@ -113,7 +112,7 @@ TEST(Robustness, TinyMatrixReferencePath) {
   tm.category = "stress";
   tm.matrix = a;
   ExperimentConfig cfg;  // nev 10 + buffer 2 > n
-  const auto res = run_matrix(tm, {FormatId::float64}, cfg);
+  const auto res = run_experiment({tm}, {FormatId::float64}, cfg, ScheduleOptions{}).front();
   EXPECT_FALSE(res.reference_ok);
   EXPECT_FALSE(res.reference_failure.empty());
 }

@@ -87,6 +87,25 @@ TEST(ServeProtocol, MalformedRequestsAreRejectedWithAMessage) {
   EXPECT_FALSE(serve::parse_request("{\"type\":\"sweep\",\"count\":\"elephant\"}", parsed, err));
   // An empty tenant would poison the admission bookkeeping.
   EXPECT_FALSE(serve::parse_request("{\"type\":\"sweep\",\"tenant\":\"\"}", parsed, err));
+  // Size fields past the CLI's bounds would let one request allocate
+  // without limit; none may wrap or truncate into range either.
+  for (const char* field : {"\"count\":1000000000000", "\"count\":1000001",
+                            "\"nev\":18446744073709551615", "\"nev\":10001",
+                            "\"buffer\":10001", "\"restarts\":4294967297",
+                            "\"restarts\":1000001", "\"nev\":-1"}) {
+    err.clear();
+    EXPECT_FALSE(serve::parse_request(std::string("{\"type\":\"sweep\",") + field + "}",
+                                      parsed, err))
+        << field;
+    EXPECT_NE(err.find("exceeds"), std::string::npos) << field << ": " << err;
+  }
+  // The bounds themselves are accepted.
+  EXPECT_TRUE(serve::parse_request(
+      "{\"type\":\"sweep\",\"count\":1000000,\"nev\":10000,\"buffer\":10000,"
+      "\"restarts\":1000000}",
+      parsed, err))
+      << err;
+  EXPECT_EQ(parsed.sweep.restarts, 1000000);
   // Unknown KEYS are forward-compatible and ignored.
   EXPECT_TRUE(
       serve::parse_request("{\"type\":\"sweep\",\"future_knob\":\"on\"}", parsed, err))
@@ -132,7 +151,7 @@ TEST(ServeProtocol, RunEventsRoundTripDoublesExactly) {
   EXPECT_EQ(ev.type, "run");
   EXPECT_EQ(ev.fields.at("matrix"), "mat_a");
   EXPECT_EQ(ev.fields.at("replayed"), "1");
-  const FormatRun back = serve::run_from_event(ev);
+  const FormatRun back = run_from_record(ev.fields).run;
   EXPECT_EQ(back.format, run.format);
   EXPECT_EQ(back.outcome, run.outcome);
   EXPECT_EQ(back.eigenvalue_error.absolute, run.eigenvalue_error.absolute);
@@ -145,6 +164,86 @@ TEST(ServeProtocol, RunEventsRoundTripDoublesExactly) {
   EXPECT_EQ(back.matvecs, run.matvecs);
   EXPECT_EQ(back.duration_seconds, run.duration_seconds);
   EXPECT_EQ(back.failure, run.failure);
+}
+
+// The round-trip tests above would pass under any field order or number
+// spelling; these strings pin the bytes of the journal records and of the
+// protocol lines that share their fields, so a change to either shows.
+TEST(RecordCodec, JournalAndProtocolLinesMatchGoldenBytes) {
+  ExperimentConfig cfg;
+  cfg.nev = 6;
+  cfg.buffer = 2;
+  cfg.which = Which::smallest_real;
+  cfg.max_restarts = 40;
+  cfg.reference_max_restarts = 120;
+  cfg.seed = 18446744073709551615ull;
+  cfg.reference_tier = ReferenceTier::dd_first;
+  const std::vector<FormatId> formats = {FormatId::takum16, FormatId::ofp8_e4m3};
+
+  FormatRun run;
+  run.format = FormatId::takum16;
+  run.outcome = RunOutcome::fault;
+  run.eigenvalue_error = {std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::denorm_min()};
+  run.eigenvector_error = {0.1, -std::numeric_limits<double>::infinity()};
+  run.mean_similarity = 1.0 / 3.0;
+  run.nconverged = 7;
+  run.restarts = -1;
+  run.matvecs = 123456789012345ull;
+  run.duration_seconds = 2.5e-7;
+  run.failure = "solve \"aborted\": a\\b\n\tc\x01";
+
+  const std::string meta =
+      "{\"type\":\"meta\",\"version\":1,\"nev\":6,\"buffer\":2,\"which\":3,\"restarts\":40,"
+      "\"ref_restarts\":120,\"seed\":18446744073709551615,\"ref_tier\":1,"
+      "\"formats\":\"takum16,OFP8 E4M3\",\"matrices\":3";
+  const std::string run_fields =
+      "{\"type\":\"run\",\"matrix\":\"mat \\\"q\\\"\",\"n\":50,\"nnz\":400,"
+      "\"format\":\"takum16\",\"outcome\":\"fault\",\"eig_abs\":Infinity,"
+      "\"eig_rel\":4.9406564584124654e-324,\"vec_abs\":0.10000000000000001,"
+      "\"vec_rel\":-Infinity,\"similarity\":0.33333333333333331,\"nconv\":7,"
+      "\"restarts\":-1,\"matvecs\":123456789012345,\"duration\":2.4999999999999999e-07,"
+      "\"failure\":\"solve \\\"aborted\\\": a\\\\b\\n\\tc\\u0001\"";
+  const std::string reference_fields =
+      "{\"type\":\"reference\",\"matrix\":\"mat \\\"q\\\"\",\"n\":50,\"nnz\":400,"
+      "\"failure\":\"reference did not converge\"";
+
+  const std::string path = "test_out/record_golden." + std::to_string(::getpid()) + ".jsonl";
+  {
+    JournalWriter w(path, /*truncate=*/true);
+    w.write_meta(make_journal_meta(cfg, formats, 3));
+    w.write_run("mat \"q\"", 50, 400, run);
+    w.write_reference_failure("mat \"q\"", 50, 400, "reference did not converge");
+  }
+  std::ifstream in(path);
+  std::string line;
+  std::vector<std::string> lines;
+  while (std::getline(in, line)) lines.push_back(line);
+  std::filesystem::remove(path);
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_EQ(lines[0], meta + "}");
+  EXPECT_EQ(lines[1], run_fields + "}");
+  EXPECT_EQ(lines[2], reference_fields + "}");
+
+  api::SweepMeta sm;
+  sm.config = cfg;
+  sm.formats = formats;
+  sm.matrix_count = 3;
+  sm.total_runs = 6;
+  EXPECT_EQ(serve::meta_line(sm), meta + ",\"total_runs\":6}");
+  EXPECT_EQ(serve::run_line("mat \"q\"", 50, 400, run, false), run_fields + "}");
+  EXPECT_EQ(serve::run_line("mat \"q\"", 50, 400, run, true), run_fields + ",\"replayed\":1}");
+  EXPECT_EQ(serve::reference_line("mat \"q\"", 50, 400, "reference did not converge", true),
+            reference_fields + ",\"replayed\":1}");
+
+  // One strict decoder for both surfaces: a run record without `failure`
+  // is malformed (a skipped journal line, a protocol error), never a run
+  // with an empty failure.
+  std::map<std::string, std::string> fields;
+  ASSERT_TRUE(jsonl::parse_line(run_fields + "}", fields));
+  EXPECT_EQ(run_from_record(fields).run.failure, run.failure);
+  fields.erase("failure");
+  EXPECT_THROW((void)run_from_record(fields), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

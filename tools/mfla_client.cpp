@@ -12,6 +12,8 @@
 #include "core/results_io.hpp"
 #include "serve/client.hpp"
 
+#include "cli_args.hpp"
+
 namespace {
 
 using namespace mfla;
@@ -64,17 +66,7 @@ void print_usage(std::FILE* out) {
 }
 
 std::uint64_t parse_uint(const char* option, const std::string& value, std::uint64_t max) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-  if (value.empty() || end != value.c_str() + value.size() ||
-      value.find_first_not_of("0123456789") != std::string::npos || errno == ERANGE ||
-      v > max) {
-    std::fprintf(stderr, "invalid value '%s' for %s\n", value.c_str(), option);
-    print_usage(stderr);
-    std::exit(kExitUsage);
-  }
-  return v;
+  return cli::parse_uint(option, value, max, print_usage, kExitUsage);
 }
 
 }  // namespace
@@ -104,13 +96,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--corpus") {
       req.corpus = next();
     } else if (arg == "--count") {
-      req.count = static_cast<std::size_t>(parse_uint("--count", next(), 1000000));
+      req.count = static_cast<std::size_t>(parse_uint("--count", next(), kMaxCorpusCount));
     } else if (arg == "--nev") {
-      req.nev = static_cast<std::size_t>(parse_uint("--nev", next(), 10000));
+      req.nev = static_cast<std::size_t>(parse_uint("--nev", next(), kMaxEigenpairs));
     } else if (arg == "--buffer") {
-      req.buffer = static_cast<std::size_t>(parse_uint("--buffer", next(), 10000));
+      req.buffer = static_cast<std::size_t>(parse_uint("--buffer", next(), kMaxEigenpairs));
     } else if (arg == "--restarts") {
-      req.restarts = static_cast<int>(parse_uint("--restarts", next(), 1000000));
+      req.restarts = static_cast<int>(parse_uint("--restarts", next(), kMaxRestarts));
     } else if (arg == "--formats") {
       req.formats = next();
     } else if (arg == "--which") {

@@ -13,7 +13,8 @@
 //                  [--workdir out/crashtest] [--count 2]
 //                  [--formats f16,p16,t16] [--threads 2] [--keep]
 //
-// Exit status: 0 if every cycle's CSV matched the baseline, 1 otherwise.
+// Exit status: 0 if every cycle's CSV matched the baseline, 1 otherwise,
+// 2 on a usage error (unknown option, missing or non-numeric value).
 #include <sys/wait.h>
 
 #include <cstdio>
@@ -25,6 +26,8 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "cli_args.hpp"
 
 namespace {
 
@@ -39,11 +42,21 @@ struct Options {
   bool keep = false;
 };
 
-[[noreturn]] void usage() {
-  std::fprintf(stderr,
+constexpr int kExitUsage = 2;
+
+void print_usage(std::FILE* out) {
+  std::fprintf(out,
                "usage: mfla_crashtest --exe PATH [--cycles N] [--seed S] [--workdir DIR]\n"
                "       [--count N] [--formats KEYS] [--threads N] [--keep]\n");
-  std::exit(2);
+}
+
+[[noreturn]] void usage() {
+  print_usage(stderr);
+  std::exit(kExitUsage);
+}
+
+std::uint64_t parse_uint(const char* option, const std::string& value, std::uint64_t max) {
+  return mfla::cli::parse_uint(option, value, max, print_usage, kExitUsage);
 }
 
 // The crash points this harness arms, and the hit range that makes sense
@@ -130,17 +143,17 @@ int main(int argc, char** argv) {
     if (arg == "--exe")
       opt.exe = next();
     else if (arg == "--cycles")
-      opt.cycles = std::atoi(next().c_str());
+      opt.cycles = static_cast<int>(parse_uint("--cycles", next(), 1000000));
     else if (arg == "--seed")
-      opt.seed = std::strtoull(next().c_str(), nullptr, 10);
+      opt.seed = parse_uint("--seed", next(), UINT64_MAX);
     else if (arg == "--workdir")
       opt.workdir = next();
     else if (arg == "--count")
-      opt.count = std::atoi(next().c_str());
+      opt.count = static_cast<int>(parse_uint("--count", next(), 1000000));
     else if (arg == "--formats")
       opt.formats = next();
     else if (arg == "--threads")
-      opt.threads = std::atoi(next().c_str());
+      opt.threads = static_cast<int>(parse_uint("--threads", next(), 4096));
     else if (arg == "--keep")
       opt.keep = true;
     else

@@ -10,7 +10,6 @@
 //
 // Try: mfla_experiment --help, mfla_experiment --list-formats.
 #include <atomic>
-#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -20,6 +19,8 @@
 #include <vector>
 
 #include "api/api.hpp"
+
+#include "cli_args.hpp"
 
 namespace {
 
@@ -119,22 +120,8 @@ void print_usage(std::FILE* out) {
   std::exit(0);
 }
 
-/// Strict non-negative integer parse; anything else (garbage, trailing
-/// characters, negative values, overflow) is a usage error, not an
-/// uncaught std::invalid_argument from std::stoul.
 std::uint64_t parse_uint(const char* option, const std::string& value, std::uint64_t max) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-  const bool bad = value.empty() || end != value.c_str() + value.size() ||
-                   value.find_first_not_of("0123456789") != std::string::npos ||
-                   errno == ERANGE || v > max;
-  if (bad) {
-    std::fprintf(stderr, "invalid value '%s' for %s (expected a non-negative integer <= %llu)\n",
-                 value.c_str(), option, static_cast<unsigned long long>(max));
-    usage_error();
-  }
-  return v;
+  return cli::parse_uint(option, value, max, print_usage, kExitUsage);
 }
 
 bool ends_with(const std::string& s, const char* suffix) {
@@ -169,13 +156,13 @@ int main(int argc, char** argv) {
     if (arg == "--corpus") {
       corpus = next();
     } else if (arg == "--count") {
-      count = static_cast<std::size_t>(parse_uint("--count", next(), 1000000));
+      count = static_cast<std::size_t>(parse_uint("--count", next(), kMaxCorpusCount));
     } else if (arg == "--nev") {
-      nev = static_cast<std::size_t>(parse_uint("--nev", next(), 10000));
+      nev = static_cast<std::size_t>(parse_uint("--nev", next(), kMaxEigenpairs));
     } else if (arg == "--buffer") {
-      buffer = static_cast<std::size_t>(parse_uint("--buffer", next(), 10000));
+      buffer = static_cast<std::size_t>(parse_uint("--buffer", next(), kMaxEigenpairs));
     } else if (arg == "--restarts") {
-      max_restarts = static_cast<int>(parse_uint("--restarts", next(), 1000000));
+      max_restarts = static_cast<int>(parse_uint("--restarts", next(), kMaxRestarts));
     } else if (arg == "--threads") {
       threads = static_cast<std::size_t>(parse_uint("--threads", next(), 4096));
     } else if (arg == "--checkpoint") {
@@ -228,17 +215,7 @@ int main(int argc, char** argv) {
   // Assemble the dataset.
   std::vector<TestMatrix> dataset;
   try {
-    if (!corpus.empty()) {
-      if (corpus == "general") {
-        GeneralCorpusOptions opts;
-        opts.count = count;
-        dataset = build_general_corpus(opts);
-      } else {
-        GraphCorpusOptions opts;
-        opts.counts = {count, count, count, count};
-        dataset = build_graph_corpus(opts, corpus);
-      }
-    }
+    if (!corpus.empty()) dataset = build_named_corpus(corpus, count);
     for (const auto& path : files) {
       CooMatrix coo;
       if (ends_with(path, ".edges")) {
@@ -249,9 +226,12 @@ int main(int argc, char** argv) {
       }
       dataset.push_back(make_test_matrix(path, "user", "user", coo));
     }
+  } catch (const std::invalid_argument& e) {
+    // An unknown corpus name; the readers report bad files as runtime_error.
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return kExitUsage;
   } catch (const std::exception& e) {
-    // Dataset assembly failures are input I/O: unreadable or malformed
-    // matrix files.
+    // Everything else is input I/O: unreadable or malformed matrix files.
     std::fprintf(stderr, "error: %s\n", e.what());
     return kExitIo;
   }

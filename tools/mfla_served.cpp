@@ -22,6 +22,8 @@
 #include "core/errors.hpp"
 #include "serve/server.hpp"
 
+#include "cli_args.hpp"
+
 namespace {
 
 using namespace mfla;
@@ -66,17 +68,7 @@ void print_usage(std::FILE* out) {
 }
 
 std::uint64_t parse_uint(const char* option, const std::string& value, std::uint64_t max) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-  if (value.empty() || end != value.c_str() + value.size() ||
-      value.find_first_not_of("0123456789") != std::string::npos || errno == ERANGE ||
-      v > max) {
-    std::fprintf(stderr, "invalid value '%s' for %s\n", value.c_str(), option);
-    print_usage(stderr);
-    std::exit(kExitUsage);
-  }
-  return v;
+  return cli::parse_uint(option, value, max, print_usage, kExitUsage);
 }
 
 }  // namespace
