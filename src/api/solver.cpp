@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "arith/quad.hpp"
+#include "core/experiment.hpp"
 #include "core/lanczos.hpp"
 
 namespace mfla::api {
@@ -24,6 +25,8 @@ Solver Solver::create(FormatId format, SolverKind kind, SolverOptions opts) {
   if (kind != SolverKind::krylov_schur && kind != SolverKind::lanczos)
     throw std::invalid_argument("Solver::create: unknown SolverKind");
   if (opts.nev == 0) throw std::invalid_argument("Solver::create: nev must be positive");
+  require_bounded("Solver::create", "nev", opts.nev, kMaxEigenpairs);
+  require_bounded("Solver::create", "max_restarts", opts.max_restarts, kMaxRestarts);
   return Solver(format, kind, std::move(opts));
 }
 

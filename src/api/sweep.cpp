@@ -150,6 +150,10 @@ SweepResult Sweep::run() {
     }
   }
   if (cfg_.nev == 0) throw std::invalid_argument("Sweep: nev must be positive");
+  require_bounded("Sweep", "nev", cfg_.nev, kMaxEigenpairs);
+  require_bounded("Sweep", "buffer", cfg_.buffer, kMaxEigenpairs);
+  require_bounded("Sweep", "max_restarts", cfg_.max_restarts, kMaxRestarts);
+  require_bounded("Sweep", "reference_max_restarts", cfg_.reference_max_restarts, kMaxRestarts);
   if (resume_ && checkpoint_.empty())
     throw std::invalid_argument("Sweep: resume() requires checkpoint(path)");
   if (!checkpoint_.empty()) require_checkpoint_directory(checkpoint_);

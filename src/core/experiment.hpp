@@ -21,7 +21,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arith/format_registry.hpp"
@@ -46,6 +48,16 @@ inline constexpr double kReferenceTolerance = 1e-20;
 inline constexpr std::uint64_t kMaxCorpusCount = 1000000;  // matrices per corpus class
 inline constexpr std::uint64_t kMaxEigenpairs = 10000;     // nev, and buffer
 inline constexpr std::uint64_t kMaxRestarts = 1000000;     // max_restarts
+
+/// The library-side check of those bounds (api::Sweep::run,
+/// api::Solver::create): throws std::invalid_argument naming `who` and
+/// `field` unless 0 <= value <= max.
+template <typename Int>
+void require_bounded(const char* who, const char* field, Int value, std::uint64_t max) {
+  if (std::cmp_less(value, 0) || std::cmp_greater(value, max))
+    throw std::invalid_argument(std::string(who) + ": " + field + " must be in [0, " +
+                                std::to_string(max) + "], got " + std::to_string(value));
+}
 
 struct ExperimentConfig {
   std::size_t nev = 10;    // eigenvalue_count (paper: 10 largest)

@@ -88,6 +88,54 @@ namespace detail {
   return false;
 }
 
+/// What partialschur and lanczos_eigs share before their first expansion:
+/// the subspace bounds and the basis with its unit start vector in
+/// column 0.
+template <typename T>
+struct KrylovStart {
+  std::size_t mindim = 0;  // vectors a restart keeps, at least 1
+  std::size_t maxdim = 0;  // basis size after expansion, at most n-1
+  DenseMatrix<T> v;        // n x (maxdim+1)
+};
+
+/// Clamp opts' mindim/maxdim to an n x n operator and load the start
+/// vector (opts.start_vector when it has length n, else a draw from rng),
+/// normalized in T. Returns the failure message, empty on success.
+template <typename T>
+[[nodiscard]] std::string krylov_start(std::size_t n, const PartialSchurOptions& opts, Rng& rng,
+                                       KrylovStart<T>& st) {
+  const std::size_t nev = opts.nev;
+  if (nev == 0 || n < 2) return "matrix too small";
+  std::size_t mindim = opts.mindim != 0 ? opts.mindim : std::max<std::size_t>(10, nev);
+  std::size_t maxdim = opts.maxdim != 0 ? opts.maxdim : std::max<std::size_t>(20, 2 * nev);
+  // The decomposition keeps maxdim+1 basis vectors; cap at n-1 so the
+  // residual direction always exists (full-space runs deflate via beta=0).
+  maxdim = std::min(maxdim, n - 1);
+  mindim = std::min(mindim, maxdim >= 2 ? maxdim - 2 : 1);
+  // A restart that keeps no Ritz vector starts over and never converges.
+  mindim = std::max<std::size_t>(mindim, 1);
+  if (nev > maxdim) return "nev exceeds subspace dimension";
+  st.mindim = mindim;
+  st.maxdim = maxdim;
+
+  // Start vector (unit, shared across formats when provided).
+  st.v = DenseMatrix<T>(n, maxdim + 1);
+  DenseMatrix<T>& v = st.v;
+  std::vector<double> v0;
+  if (opts.start_vector != nullptr && opts.start_vector->size() == n) {
+    v0 = *opts.start_vector;
+  } else {
+    v0 = rng.unit_vector(n);
+  }
+  for (std::size_t i = 0; i < n; ++i) v(i, 0) = NumTraits<T>::from_double(v0[i]);
+  // Normalize in T (conversion perturbs the double-unit norm).
+  const T nrm = kernels::nrm2(n, v.col(0));
+  if (!is_number(nrm) || NumTraits<T>::to_double(nrm) == 0.0)
+    return "start vector collapsed in format";
+  kernels::scal(n, T(1) / nrm, v.col(0));
+  return {};
+}
+
 }  // namespace detail
 
 template <typename T, class Op>
@@ -96,46 +144,14 @@ PartialSchurResult<T> partialschur(const Op& a, const PartialSchurOptions& opts 
   PartialSchurResult<T> out;
 
   const std::size_t nev = opts.nev;
-  if (nev == 0 || n < 2) {
-    out.failure = "matrix too small";
-    return out;
-  }
-  std::size_t mindim = opts.mindim != 0 ? opts.mindim : std::max<std::size_t>(10, nev);
-  std::size_t maxdim = opts.maxdim != 0 ? opts.maxdim : std::max<std::size_t>(20, 2 * nev);
-  // The decomposition keeps maxdim+1 basis vectors; cap at n-1 so the
-  // residual direction always exists (full-space runs deflate via beta=0).
-  maxdim = std::min(maxdim, n - 1);
-  mindim = std::min(mindim, maxdim >= 2 ? maxdim - 2 : 1);
-  mindim = std::max<std::size_t>(mindim, 1);
-  if (nev > maxdim) {
-    out.failure = "nev exceeds subspace dimension";
-    return out;
-  }
-  const double tol = opts.tolerance > 0 ? opts.tolerance : NumTraits<T>::default_tolerance();
-
   Rng rng(opts.seed);
-
-  DenseMatrix<T> v(n, maxdim + 1);
+  detail::KrylovStart<T> start;
+  out.failure = detail::krylov_start(n, opts, rng, start);
+  if (!out.failure.empty()) return out;
+  const std::size_t mindim = start.mindim, maxdim = start.maxdim;
+  DenseMatrix<T>& v = start.v;
   DenseMatrix<T> s(maxdim + 1, maxdim);
-
-  // Start vector (unit, shared across formats when provided).
-  {
-    std::vector<double> v0;
-    if (opts.start_vector != nullptr && opts.start_vector->size() == n) {
-      v0 = *opts.start_vector;
-    } else {
-      v0 = rng.unit_vector(n);
-    }
-    for (std::size_t i = 0; i < n; ++i) v(i, 0) = NumTraits<T>::from_double(v0[i]);
-    // Normalize in T (conversion perturbs the double-unit norm).
-    const T nrm = kernels::nrm2(n, v.col(0));
-    if (!is_number(nrm) || NumTraits<T>::to_double(nrm) == 0.0) {
-      out.failure = "start vector collapsed in format";
-      return out;
-    }
-    const T inv = T(1) / nrm;
-    kernels::scal(n, inv, v.col(0));
-  }
+  const double tol = opts.tolerance > 0 ? opts.tolerance : NumTraits<T>::default_tolerance();
 
   KrylovSchurWorkspace<T> ws;
   ws.arnoldi.reserve(n, maxdim);

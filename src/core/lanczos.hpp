@@ -7,8 +7,7 @@
 // reorthogonalization loses orthogonality immediately, which would
 // confound the format comparison). The projected matrix after a restart is
 // diagonal-plus-arrowhead-plus-tridiagonal; its eigendecomposition uses
-// the Jacobi kernel (robust at restart dimensions; the standalone
-// tridiagonal QL kernel lives in dense/tridiagonal.hpp).
+// the Jacobi kernel (robust at restart dimensions).
 #pragma once
 
 #include <cmath>
@@ -19,7 +18,6 @@
 #include "kernels/vector_ops.hpp"
 #include "core/krylov_schur.hpp"
 #include "dense/jacobi.hpp"
-#include "dense/tridiagonal.hpp"
 
 namespace mfla {
 
@@ -31,40 +29,15 @@ PartialSchurResult<T> lanczos_eigs(const Op& a, const PartialSchurOptions& opts 
   const std::size_t n = a.rows();
   PartialSchurResult<T> out;
   const std::size_t nev = opts.nev;
-  if (nev == 0 || n < 2) {
-    out.failure = "matrix too small";
-    return out;
-  }
-  std::size_t mindim = opts.mindim != 0 ? opts.mindim : std::max<std::size_t>(10, nev);
-  std::size_t maxdim = opts.maxdim != 0 ? opts.maxdim : std::max<std::size_t>(20, 2 * nev);
-  maxdim = std::min(maxdim, n - 1);
-  mindim = std::min(mindim, maxdim >= 2 ? maxdim - 2 : 1);
-  if (nev > maxdim) {
-    out.failure = "nev exceeds subspace dimension";
-    return out;
-  }
-  const double tol = opts.tolerance > 0 ? opts.tolerance : NumTraits<T>::default_tolerance();
-
   Rng rng(opts.seed);
-  DenseMatrix<T> v(n, maxdim + 1);
+  detail::KrylovStart<T> start;
+  out.failure = detail::krylov_start(n, opts, rng, start);
+  if (!out.failure.empty()) return out;
+  const std::size_t mindim = start.mindim, maxdim = start.maxdim;
+  DenseMatrix<T>& v = start.v;
   // Projected symmetric matrix (dense storage; diagonal+arrow+tridiagonal).
   DenseMatrix<T> s(maxdim + 1, maxdim);
-
-  {
-    std::vector<double> v0;
-    if (opts.start_vector != nullptr && opts.start_vector->size() == n) {
-      v0 = *opts.start_vector;
-    } else {
-      v0 = rng.unit_vector(n);
-    }
-    for (std::size_t i = 0; i < n; ++i) v(i, 0) = NumTraits<T>::from_double(v0[i]);
-    const T nrm = kernels::nrm2(n, v.col(0));
-    if (!is_number(nrm) || NumTraits<T>::to_double(nrm) == 0.0) {
-      out.failure = "start vector collapsed in format";
-      return out;
-    }
-    kernels::scal(n, T(1) / nrm, v.col(0));
-  }
+  const double tol = opts.tolerance > 0 ? opts.tolerance : NumTraits<T>::default_tolerance();
 
   KrylovSchurWorkspace<T> ws;
   ws.arnoldi.reserve(n, maxdim);

@@ -25,10 +25,8 @@
 //
 // Tables are built lazily on first use through a magic static (thread-safe
 // since C++11) and shared by every thread of the experiment engine's pool.
-// Building MFLA_ENABLE_LUT=0 (CMake option of the same name) compiles all
-// fast paths out, leaving only the exact reference engines;
-// set_lut_enabled(false) disables them at runtime in an enabled build
-// (used by the bit-identity tests and the exact-vs-LUT benchmark).
+// set_lut_enabled(false) switches them off at runtime, leaving only the
+// exact reference engines (used by the bit-identity tests).
 #pragma once
 
 #include <atomic>
@@ -38,41 +36,24 @@
 
 #include "arith/traits.hpp"
 
-#ifndef MFLA_ENABLE_LUT
-#define MFLA_ENABLE_LUT 1
-#endif
-
 namespace mfla {
 namespace kernels {
 
-#if MFLA_ENABLE_LUT
 namespace detail {
 [[nodiscard]] inline std::atomic<bool>& lut_flag() noexcept {
   static std::atomic<bool> flag{true};
   return flag;
 }
 }  // namespace detail
-#endif
 
-/// Are the LUT fast paths active? Compile-time false when built with
-/// MFLA_ENABLE_LUT=0; otherwise a runtime switch defaulting to on.
+/// Are the LUT fast paths active? A runtime switch defaulting to on.
 [[nodiscard]] inline bool lut_enabled() noexcept {
-#if MFLA_ENABLE_LUT
   return detail::lut_flag().load(std::memory_order_relaxed);
-#else
-  return false;
-#endif
 }
 
 /// Toggle the LUT fast paths at runtime; returns the previous setting.
-/// A no-op (always off) when compiled with MFLA_ENABLE_LUT=0.
 inline bool set_lut_enabled(bool on) noexcept {
-#if MFLA_ENABLE_LUT
   return detail::lut_flag().exchange(on, std::memory_order_relaxed);
-#else
-  (void)on;
-  return false;
-#endif
 }
 
 namespace accel {
@@ -200,8 +181,6 @@ struct NativeOps {
   [[nodiscard]] T mul(T a, T b) const noexcept { return a * b; }
 };
 
-#if MFLA_ENABLE_LUT
-
 template <typename T>
 struct Lut8Ops {
   const Lut8<T>& lut;
@@ -238,15 +217,12 @@ struct Dec16TaperedOps {
   }
 };
 
-#endif  // MFLA_ENABLE_LUT
-
 /// Invoke fn with the scalar-operation policy for T: the matching LUT
 /// policy when one exists and LUTs are enabled, the exact engines
 /// otherwise. The policy choice is hoisted out of the kernel loops — one
 /// runtime flag check per kernel call, not per element.
 template <typename T, class Fn>
 decltype(auto) with_ops(Fn&& fn) {
-#if MFLA_ENABLE_LUT
   constexpr AccelKind kind = accel_kind<T>();
   if constexpr (kind == AccelKind::lut8) {
     if (lut_enabled()) return fn(Lut8Ops<T>{Lut8<T>::instance()});
@@ -255,7 +231,6 @@ decltype(auto) with_ops(Fn&& fn) {
   } else if constexpr (kind == AccelKind::dec16_tapered) {
     if (lut_enabled()) return fn(Dec16TaperedOps<T>{Dec16<T>::instance()});
   }
-#endif
   return fn(NativeOps<T>{});
 }
 

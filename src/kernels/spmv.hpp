@@ -72,11 +72,7 @@ void spmv(std::size_t rows, const std::uint32_t* row_ptr, const std::uint32_t* c
 /// Is the offset plan meaningful for T? (8-bit formats with LUT support.)
 template <typename T>
 [[nodiscard]] consteval bool spmv_plan_supported() noexcept {
-#if MFLA_ENABLE_LUT
   return accel::accel_kind<T>() == accel::AccelKind::lut8;
-#else
-  return false;
-#endif
 }
 
 /// Per-nonzero LUT row offsets for an 8-bit value array: offsets[k] is
@@ -172,8 +168,6 @@ struct SellPlan {
   return p;
 }
 
-#if MFLA_ENABLE_LUT
-
 /// Planned SpMV over the SELL-8 plan, in the encoding-bit domain: eight
 /// independent row chains advance in lock step (two nonzeros deep per
 /// iteration on the unpadded prefix), hiding each chain's dependent-load
@@ -262,8 +256,6 @@ void spmv_planned(std::size_t rows, const std::uint32_t* row_ptr, const std::uin
     y[i] = Codec::from_bits(acc);
   }
 }
-
-#endif  // MFLA_ENABLE_LUT
 
 /// y := A x for CSR (row_ptr, col_idx, values), accumulated in T.
 template <typename T>

@@ -44,23 +44,6 @@ void scal_impl(std::size_t n, T alpha, T* x, const Ops& ops) noexcept {
 }
 
 template <typename T, class Ops>
-void gemv_impl(const DenseMatrix<T>& a, const T* x, T* y, const Ops& ops) noexcept {
-  const std::size_t m = a.rows(), n = a.cols();
-  for (std::size_t i = 0; i < m; ++i) y[i] = T(0);
-  for (std::size_t j = 0; j < n; ++j) {
-    const T xj = x[j];
-    const T* col = a.col(j);
-    for (std::size_t i = 0; i < m; ++i) y[i] = ops.add(y[i], ops.mul(col[i], xj));
-  }
-}
-
-template <typename T, class Ops>
-void gemv_t_impl(const DenseMatrix<T>& a, const T* x, T* y, const Ops& ops) noexcept {
-  const std::size_t m = a.rows(), n = a.cols();
-  for (std::size_t j = 0; j < n; ++j) y[j] = dot_impl(m, a.col(j), x, ops);
-}
-
-template <typename T, class Ops>
 [[nodiscard]] DenseMatrix<T> matmul_impl(const DenseMatrix<T>& a, const DenseMatrix<T>& b,
                                          const Ops& ops) {
   const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
@@ -163,18 +146,6 @@ void scal(std::size_t n, T alpha, T* x) {
   accel::with_ops<T>([&](const auto& ops) { detail::scal_impl(n, alpha, x, ops); });
 }
 
-/// y := A x (dense, column-major).
-template <typename T>
-void gemv(const DenseMatrix<T>& a, const T* x, T* y) {
-  accel::with_ops<T>([&](const auto& ops) { detail::gemv_impl(a, x, y, ops); });
-}
-
-/// y := A^T x (dense, column-major).
-template <typename T>
-void gemv_t(const DenseMatrix<T>& a, const T* x, T* y) {
-  accel::with_ops<T>([&](const auto& ops) { detail::gemv_t_impl(a, x, y, ops); });
-}
-
 /// C := A * B.
 template <typename T>
 [[nodiscard]] DenseMatrix<T> matmul(const DenseMatrix<T>& a, const DenseMatrix<T>& b) {
@@ -196,25 +167,6 @@ void update_basis(DenseMatrix<T>& v, const DenseMatrix<T>& w, std::size_t wrows,
                   std::size_t keep, std::vector<T>& scratch) {
   accel::with_ops<T>(
       [&](const auto& ops) { detail::update_basis_impl(v, w, wrows, keep, scratch, ops); });
-}
-
-/// Convenience overload: whole W, throwaway scratch.
-template <typename T>
-void update_basis(DenseMatrix<T>& v, const DenseMatrix<T>& w, std::size_t keep) {
-  std::vector<T> scratch;
-  update_basis(v, w, w.rows(), keep, scratch);
-}
-
-/// Frobenius norm computed in double (used by tests / diagnostics only).
-template <typename T>
-[[nodiscard]] double frobenius_norm_double(const DenseMatrix<T>& a) {
-  double acc = 0;
-  for (std::size_t j = 0; j < a.cols(); ++j)
-    for (std::size_t i = 0; i < a.rows(); ++i) {
-      const double v = static_cast<double>(a(i, j));
-      acc += v * v;
-    }
-  return std::sqrt(acc);
 }
 
 }  // namespace kernels

@@ -70,7 +70,6 @@ class CsrMatrix {
   /// layout, row at a time otherwise — bit-identical to the generic
   /// dispatch (kernels/spmv.hpp).
   void matvec(const T* x, T* y) const {
-#if MFLA_ENABLE_LUT
     if constexpr (kernels::spmv_plan_supported<T>()) {
       if (spmv_plan_.size() == values_.size() && kernels::lut_enabled()) {
         kernels::spmv_planned(rows_, row_ptr_.data(), col_idx_.data(), spmv_plan_.data(), x, y,
@@ -78,7 +77,6 @@ class CsrMatrix {
         return;
       }
     }
-#endif
     kernels::spmv(rows_, row_ptr_.data(), col_idx_.data(), values_.data(), x, y);
   }
 

@@ -360,6 +360,25 @@ TEST(SweepBuilder, RejectsInvalidState) {
   EXPECT_THROW((void)api::Sweep::over(ds).formats({FormatId::float64}).resume().run(),
                std::invalid_argument);
 
+  // Size and restart fields past the CLI/daemon bounds (kMaxEigenpairs,
+  // kMaxRestarts) or negative: rejected before any solve, naming the field.
+  const auto expect_rejects_field = [&](api::Sweep sweep, const std::string& field) {
+    try {
+      (void)sweep.run();
+      ADD_FAILURE() << field << ": no exception";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+    }
+  };
+  const auto f64 = [&] { return api::Sweep::over(ds).formats({FormatId::float64}); };
+  expect_rejects_field(f64().nev(kMaxEigenpairs + 1), "nev");
+  expect_rejects_field(f64().buffer(kMaxEigenpairs + 1), "buffer");
+  expect_rejects_field(f64().restarts(-1), "max_restarts");
+  expect_rejects_field(f64().restarts(static_cast<int>(kMaxRestarts) + 1), "max_restarts");
+  expect_rejects_field(f64().reference_restarts(-1), "reference_max_restarts");
+  expect_rejects_field(f64().reference_restarts(static_cast<int>(kMaxRestarts) + 1),
+                       "reference_max_restarts");
+
   // Checkpoint directory that cannot exist: parent path routed through a
   // regular file.
   ensure_directory("test_out");

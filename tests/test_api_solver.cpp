@@ -151,6 +151,28 @@ TEST(ApiSolver, CreateValidatesArguments) {
   opts.nev = 0;
   EXPECT_THROW((void)api::Solver::create(FormatId::float64, api::SolverKind::krylov_schur, opts),
                std::invalid_argument);
+
+  // The CLI/daemon bounds (kMaxEigenpairs, kMaxRestarts) and a negative
+  // restart budget, each rejected with the field named.
+  const auto expect_rejects_field = [](const api::SolverOptions& o, const std::string& field) {
+    for (const auto kind : {api::SolverKind::krylov_schur, api::SolverKind::lanczos}) {
+      try {
+        (void)api::Solver::create(FormatId::float64, kind, o);
+        ADD_FAILURE() << field << ": no exception";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+      }
+    }
+  };
+  api::SolverOptions big_nev;
+  big_nev.nev = kMaxEigenpairs + 1;
+  expect_rejects_field(big_nev, "nev");
+  api::SolverOptions negative_restarts;
+  negative_restarts.max_restarts = -1;
+  expect_rejects_field(negative_restarts, "max_restarts");
+  api::SolverOptions many_restarts;
+  many_restarts.max_restarts = static_cast<int>(kMaxRestarts) + 1;
+  expect_rejects_field(many_restarts, "max_restarts");
 }
 
 TEST(ApiSolver, RuntimeSelectionOpensNewScenarios) {

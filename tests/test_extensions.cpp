@@ -1,103 +1,19 @@
-// Tests for the extension modules: tridiagonal QL, R-MAT generator,
-// matrix statistics, raw-results persistence.
+// Tests for the extension modules: R-MAT generator, raw-results
+// persistence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 
 #include "core/distribution.hpp"
 #include "core/results_io.hpp"
-#include "datasets/stats.hpp"
-#include "dense/jacobi.hpp"
-#include "dense/tridiagonal.hpp"
 #include "graph/generators.hpp"
 #include "graph/laplacian.hpp"
 #include "support/rng.hpp"
 
 namespace mfla {
 namespace {
-
-// ---- Tridiagonal QL ---------------------------------------------------------
-
-TEST(TridiagonalQl, KnownToeplitzSpectrum) {
-  // Tridiag(-1, 2, -1) of size n has eigenvalues 2 - 2 cos(k pi/(n+1)).
-  const std::size_t n = 12;
-  std::vector<double> d(n, 2.0), e(n - 1, -1.0);
-  auto z = DenseMatrix<double>::identity(n);
-  ASSERT_TRUE(tridiagonal_ql(d, e, z));
-  std::sort(d.begin(), d.end());
-  for (std::size_t k = 1; k <= n; ++k) {
-    const double expect = 2.0 - 2.0 * std::cos(static_cast<double>(k) * M_PI /
-                                               static_cast<double>(n + 1));
-    EXPECT_NEAR(d[k - 1], expect, 1e-12);
-  }
-}
-
-TEST(TridiagonalQl, EigenvectorsDiagonalize) {
-  Rng rng(1200);
-  const std::size_t n = 20;
-  std::vector<double> d(n), e(n - 1);
-  for (auto& v : d) v = rng.normal();
-  for (auto& v : e) v = rng.normal();
-  const std::vector<double> d0 = d, e0 = e;
-  auto z = DenseMatrix<double>::identity(n);
-  ASSERT_TRUE(tridiagonal_ql(d, e, z));
-  // T z_j = lambda_j z_j for the original T.
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t i = 0; i < n; ++i) {
-      double ti = d0[i] * z(i, j);
-      if (i > 0) ti += e0[i - 1] * z(i - 1, j);
-      if (i + 1 < n) ti += e0[i] * z(i + 1, j);
-      EXPECT_NEAR(ti, d[j] * z(i, j), 1e-10);
-    }
-  }
-  // z orthogonal.
-  for (std::size_t a = 0; a < n; ++a)
-    for (std::size_t b = 0; b <= a; ++b) {
-      double dot = 0;
-      for (std::size_t i = 0; i < n; ++i) dot += z(i, a) * z(i, b);
-      EXPECT_NEAR(dot, a == b ? 1.0 : 0.0, 1e-12);
-    }
-}
-
-TEST(TridiagonalQl, MatchesJacobiOnRandom) {
-  Rng rng(1201);
-  for (int trial = 0; trial < 5; ++trial) {
-    const std::size_t n = 5 + 3 * static_cast<std::size_t>(trial);
-    std::vector<double> d(n), e(n - 1);
-    for (auto& v : d) v = rng.normal();
-    for (auto& v : e) v = rng.normal();
-    DenseMatrix<double> full(n, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      full(i, i) = d[i];
-      if (i + 1 < n) {
-        full(i, i + 1) = e[i];
-        full(i + 1, i) = e[i];
-      }
-    }
-    auto z = DenseMatrix<double>::identity(n);
-    ASSERT_TRUE(tridiagonal_ql(d, e, z));
-    DenseMatrix<double> vj;
-    ASSERT_GT(jacobi_eigen(full, vj), 0);
-    std::vector<double> ej(n);
-    for (std::size_t i = 0; i < n; ++i) ej[i] = full(i, i);
-    std::sort(d.begin(), d.end());
-    std::sort(ej.begin(), ej.end());
-    for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(d[i], ej[i], 1e-10);
-  }
-}
-
-TEST(TridiagonalQl, TrivialSizes) {
-  std::vector<double> d{3.5};
-  std::vector<double> e;
-  auto z = DenseMatrix<double>::identity(1);
-  EXPECT_TRUE(tridiagonal_ql(d, e, z));
-  EXPECT_DOUBLE_EQ(d[0], 3.5);
-  std::vector<double> d0;
-  std::vector<double> e0;
-  DenseMatrix<double> z0(0, 0);
-  EXPECT_TRUE(tridiagonal_ql(d0, e0, z0));
-}
 
 // ---- R-MAT -------------------------------------------------------------------
 
@@ -118,38 +34,6 @@ TEST(Rmat, SkewedDegreesVersusUniform) {
     return best;
   };
   EXPECT_GT(max_degree(skewed), max_degree(uniform));
-}
-
-// ---- Matrix statistics ----------------------------------------------------------
-
-TEST(MatrixStats, EntryStats) {
-  CooMatrix coo(3, 3);
-  coo.add(0, 0, 4.0);
-  coo.add(1, 1, -0.5);
-  coo.add(0, 1, 2.0);
-  coo.add(1, 0, 2.0);
-  const auto a = CsrMatrix<double>::from_coo(coo);
-  const auto s = matrix_entry_stats(a);
-  EXPECT_EQ(s.n, 3u);
-  EXPECT_EQ(s.nnz, 4u);
-  EXPECT_DOUBLE_EQ(s.max_abs, 4.0);
-  EXPECT_DOUBLE_EQ(s.min_abs, 0.5);
-  EXPECT_DOUBLE_EQ(s.dynamic_range, 8.0);
-  EXPECT_DOUBLE_EQ(s.inf_norm, 6.0);
-  EXPECT_NEAR(s.frobenius, std::sqrt(16 + 0.25 + 4 + 4), 1e-12);
-}
-
-TEST(MatrixStats, SpectralConditionOfKnownMatrix) {
-  // diag(1..8): condition = 8.
-  CooMatrix coo(8, 8);
-  for (std::uint32_t i = 0; i < 8; ++i) coo.add(i, i, static_cast<double>(i + 1));
-  const auto a = CsrMatrix<double>::from_coo(coo);
-  const auto s = matrix_spectral_stats(a, 200);
-  ASSERT_TRUE(std::isfinite(s.lambda_max));
-  ASSERT_TRUE(std::isfinite(s.lambda_min_mag));
-  EXPECT_NEAR(s.lambda_max, 8.0, 1e-6);
-  EXPECT_NEAR(s.lambda_min_mag, 1.0, 1e-6);
-  EXPECT_NEAR(s.condition_estimate, 8.0, 1e-5);
 }
 
 // ---- Results persistence ---------------------------------------------------------

@@ -5,16 +5,13 @@
 //   * exhaustive decode (double and, for tapered formats, Unpacked) over
 //     all 65536 encodings for every 16-bit format,
 //   * sampled operand pairs through the 16-bit fast-path ops,
-//   * whole kernels (dot/axpy/scal/gemv/spmv) with LUTs on vs off,
+//   * whole kernels (dot/nrm2/axpy/scal/spmv) with LUTs on vs off,
 //   * the SELL-8 SpMV: the transposed add table it reads, its plan's
 //     validity guards and layout, the slice kernel against the row-at-a-time
 //     planned recurrence, and CsrMatrix::matvec against the generic
 //     kernels::spmv whether the matrix admits a SELL-8 plan or not,
 //   * an end-to-end experiment run whose result CSV must be byte-identical
 //     with LUTs on and off.
-// In an MFLA_ENABLE_LUT=0 build the fast paths are compiled out and the
-// on/off comparisons degenerate to exact-vs-exact, which keeps this suite
-// meaningful in both CI configurations.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -70,7 +67,6 @@ std::vector<T> random_vec(std::size_t n, std::uint64_t seed) {
 
 template <typename T>
 void check_lut8_exhaustive() {
-#if MFLA_ENABLE_LUT
   using Codec = ScalarCodec<T>;
   const auto& lut = kernels::accel::Lut8<T>::instance();
   for (unsigned a = 0; a < 256; ++a) {
@@ -86,9 +82,6 @@ void check_lut8_exhaustive() {
           << NumTraits<T>::name() << " mul mismatch at (" << a << ", " << b << ")";
     }
   }
-#else
-  GTEST_SKIP() << "built with MFLA_ENABLE_LUT=0";
-#endif
 }
 
 TEST(KernelAccel, Lut8ExhaustiveOFP8E4M3) { check_lut8_exhaustive<OFP8E4M3>(); }
@@ -100,7 +93,6 @@ TEST(KernelAccel, Lut8ExhaustiveTakum8) { check_lut8_exhaustive<Takum8>(); }
 
 template <typename T>
 void check_dec16_exhaustive() {
-#if MFLA_ENABLE_LUT
   using Codec = ScalarCodec<T>;
   const auto& lut = kernels::accel::Dec16<T>::instance();
   for (std::uint32_t b = 0; b < 65536; ++b) {
@@ -115,9 +107,6 @@ void check_dec16_exhaustive() {
       ASSERT_EQ(got.m, want.m) << NumTraits<T>::name() << " at " << b;
     }
   }
-#else
-  GTEST_SKIP() << "built with MFLA_ENABLE_LUT=0";
-#endif
 }
 
 TEST(KernelAccel, Dec16ExhaustiveFloat16) { check_dec16_exhaustive<Float16>(); }
@@ -129,7 +118,6 @@ TEST(KernelAccel, Dec16ExhaustiveTakum16) { check_dec16_exhaustive<Takum16>(); }
 
 template <typename T>
 void check_ops16_sampled() {
-#if MFLA_ENABLE_LUT
   using Codec = ScalarCodec<T>;
   using Storage = typename Codec::Storage;
   const auto fast_ops = [] {
@@ -163,9 +151,6 @@ void check_ops16_sampled() {
     const auto pb = static_cast<Storage>(rng.next_u64() & 0xffff);
     check_pair(pa, pb);
   }
-#else
-  GTEST_SKIP() << "built with MFLA_ENABLE_LUT=0";
-#endif
 }
 
 TEST(KernelAccel, Ops16SampledFloat16) { check_ops16_sampled<Float16>(); }
@@ -274,8 +259,6 @@ TEST(KernelSimd, CapsConsistent) {
   EXPECT_STREQ(kernels::simd_caps().isa, "scalar");
 }
 
-#if MFLA_ENABLE_LUT
-
 /// The transposed add table the SELL-8 kernel reads:
 /// add_t[(b << 8) | a] == add(a, b) for every operand pair, never assuming
 /// the format's addition commutes.
@@ -294,8 +277,6 @@ TEST(KernelSimd, AddTransposeOFP8E4M3) { check_add_transpose<OFP8E4M3>(); }
 TEST(KernelSimd, AddTransposeOFP8E5M2) { check_add_transpose<OFP8E5M2>(); }
 TEST(KernelSimd, AddTransposePosit8) { check_add_transpose<Posit8>(); }
 TEST(KernelSimd, AddTransposeTakum8) { check_add_transpose<Takum8>(); }
-
-#endif  // MFLA_ENABLE_LUT
 
 TEST(KernelSimd, SellPlanRejectsWideAndSkewed) {
   // cols beyond 16 bits cannot live in the fused word.
@@ -354,8 +335,6 @@ TEST(KernelSimd, SellPlanLayoutAndPadding) {
   }
 }
 
-#if MFLA_ENABLE_LUT
-
 TEST(KernelSimd, SellSpmvMatchesPlannedScalar) {
   using T = Takum8;
   using Codec = ScalarCodec<T>;
@@ -396,11 +375,9 @@ TEST(KernelSimd, SellSpmvMatchesPlannedScalar) {
   for (std::size_t r = 0; r < rows; ++r) ASSERT_EQ(got[r], want[r]) << "row " << r;
 }
 
-#endif  // MFLA_ENABLE_LUT
-
 /// Does CsrMatrix<T> hold a valid SELL-8 plan? Rebuilt from the public
 /// arrays exactly as rebuild_spmv_plan() builds it; always false when the
-/// format has no offset plan (wider formats, or LUTs compiled out).
+/// format has no offset plan (formats wider than 8 bits).
 template <typename T>
 bool admits_sell_plan(const CsrMatrix<T>& a) {
   if constexpr (kernels::spmv_plan_supported<T>()) {

@@ -139,37 +139,24 @@ void check_format(int bits) {
     }
   }
 
-  // Dense gemv / gemv_t / matmul on a small matrix with specials.
+  // Dense matmul on a small matrix with specials.
   {
     const std::size_t m = 13, n2 = 11;
     DenseMatrix<T> a(m, n2);
     const auto av = fuzz_vec<T>(m * n2, 41);
     for (std::size_t j = 0; j < n2; ++j)
       for (std::size_t i = 0; i < m; ++i) a(i, j) = av[j * m + i];
-    const auto xr = fuzz_vec<T>(n2, 42);
-    const auto xl = fuzz_vec<T>(m, 43);
     DenseMatrix<T> b(n2, 5);
     const auto bv = fuzz_vec<T>(n2 * 5, 44);
     for (std::size_t j = 0; j < 5; ++j)
       for (std::size_t i = 0; i < n2; ++i) b(i, j) = bv[j * n2 + i];
 
-    std::vector<T> gemv_ref(m), gemvt_ref(n2);
-    {
-      ConfigGuard guard(kConfigs[0]);  // exact dispatch == reference leg
-      kernels::gemv(a, xr.data(), gemv_ref.data());
-      kernels::gemv_t(a, xl.data(), gemvt_ref.data());
-    }
     const DenseMatrix<T> mm_ref = [&] {
-      ConfigGuard guard(kConfigs[0]);
+      ConfigGuard guard(kConfigs[0]);  // exact dispatch == reference leg
       return kernels::matmul(a, b);
     }();
     for (const Config& cfg : kConfigs) {
       ConfigGuard guard(cfg);
-      std::vector<T> gv(m), gvt(n2);
-      kernels::gemv(a, xr.data(), gv.data());
-      kernels::gemv_t(a, xl.data(), gvt.data());
-      expect_vec_repr(gv, gemv_ref, std::string("gemv cfg=") + cfg.name);
-      expect_vec_repr(gvt, gemvt_ref, std::string("gemv_t cfg=") + cfg.name);
       const DenseMatrix<T> mm = kernels::matmul(a, b);
       for (std::size_t j = 0; j < mm.cols(); ++j)
         for (std::size_t i = 0; i < mm.rows(); ++i)
@@ -194,7 +181,6 @@ void check_format(int bits) {
                     yv.data());
       expect_vec_repr(yv, spmv_ref, std::string("spmv cfg=") + cfg.name);
     }
-#if MFLA_ENABLE_LUT
     if constexpr (kernels::spmv_plan_supported<T>()) {
       const auto offsets = kernels::build_spmv_plan(vals.data(), vals.size());
       const kernels::SellPlan sell = kernels::build_sell_plan(
@@ -208,7 +194,6 @@ void check_format(int bits) {
       expect_vec_repr(yr, spmv_ref, "spmv_planned row-at-a-time");
       expect_vec_repr(ys, spmv_ref, "spmv_planned SELL-8");
     }
-#endif
   }
 }
 

@@ -134,6 +134,24 @@ TEST(Lanczos, FailureReportedGracefully) {
   EXPECT_FALSE(r.failure.empty());
 }
 
+TEST(Lanczos, TinyMatrixConvergesWithOneRitzVectorKept) {
+  // n = 3 caps the basis at maxdim = 2, so the default mindim clamps all
+  // the way down; a restart must still keep one Ritz vector (as
+  // partialschur does) or every cycle starts over and never converges.
+  CooMatrix coo(3, 3);
+  for (std::uint32_t i = 0; i < 3; ++i) coo.add(i, i, static_cast<double>(i + 1));
+  const auto a = CsrMatrix<double>::from_coo(coo);
+  PartialSchurOptions opts;
+  opts.nev = 1;
+  opts.max_restarts = 50;
+  const auto rl = lanczos_eigs<double>(a, opts);
+  ASSERT_TRUE(rl.converged) << rl.failure;
+  EXPECT_NEAR(rl.eig_re[0], 3.0, 1e-12);
+  const auto ra = partialschur<double>(a, opts);
+  ASSERT_TRUE(ra.converged) << ra.failure;
+  EXPECT_NEAR(ra.eig_re[0], 3.0, 1e-12);
+}
+
 template <typename T>
 void lanczos_low_precision(double tol_eig) {
   Rng rng(1104);

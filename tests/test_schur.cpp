@@ -1,6 +1,6 @@
 // Real Schur decomposition tests: Francis QR vs the Jacobi oracle,
-// quasi-triangular structure, reordering (1x1 and 2x2 block swaps),
-// eigenvector extraction, and low-precision orthogonality regressions.
+// quasi-triangular structure, reordering (1x1 and 2x2 block swaps), and
+// low-precision orthogonality regressions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,7 +9,6 @@
 #include "arith/posit.hpp"
 #include "arith/takum.hpp"
 #include "kernels/vector_ops.hpp"
-#include "dense/eigvec.hpp"
 #include "dense/hessenberg.hpp"
 #include "dense/jacobi.hpp"
 #include "dense/schur.hpp"
@@ -199,34 +198,6 @@ TEST(SchurReorder, SmallestFirstOrdering) {
   for (std::size_t i = 0; i + 1 < re.size(); ++i)
     EXPECT_LE(std::abs(re[i]), std::abs(re[i + 1]) + 1e-10);
   EXPECT_LT(residual(a, p.q, p.t), 1e-11);
-}
-
-// ---- Eigenvectors ------------------------------------------------------------
-
-TEST(SchurEigvec, ResidualSmallForRealEigenvalues) {
-  Rng rng(303);
-  const auto a = random_symmetric(12, rng);
-  auto p = full_schur(a);
-  std::vector<double> re, im;
-  schur_eigenvalues(p.t, re, im);
-  for (std::size_t k = 0; k < 12; ++k) {
-    const auto x = schur_eigenvector(p.t, p.q, k);
-    ASSERT_EQ(x.size(), 12u);
-    std::vector<double> ax(12);
-    kernels::gemv(a, x.data(), ax.data());
-    for (std::size_t i = 0; i < 12; ++i) EXPECT_NEAR(ax[i], re[k] * x[i], 1e-9);
-  }
-}
-
-TEST(SchurEigvec, SkipsComplexPairs) {
-  Rng rng(304);
-  DenseMatrix<double> a(2, 2);
-  a(0, 0) = 0;
-  a(0, 1) = -1;
-  a(1, 0) = 1;
-  a(1, 1) = 0;  // eigenvalues ±i
-  auto p = full_schur(a);
-  EXPECT_TRUE(schur_eigenvector(p.t, p.q, 0).empty());
 }
 
 // ---- Low-precision orthogonality regression ------------------------------------

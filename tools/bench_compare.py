@@ -21,7 +21,8 @@ Noise guards: timings where baseline and current are both under
 ``--min-seconds`` (default 10 ms) are reported but not gated, and speedup
 ratios are clamped at 50x before comparison — a cache-hit ratio of 3000x
 vs 1500x is measurement noise on a sub-millisecond denominator, not a
-regression.
+regression. A baseline with no gated metric at all (every timing under the
+noise floor and no speedup) is an error: such a bench could never fail.
 
 Usage:
     bench_compare.py [--baselines DIR] [--threshold 0.25] [--update] FILE...
@@ -78,6 +79,12 @@ def load_metrics(path: pathlib.Path):
 
     walk("", data)
     return metrics
+
+
+def has_gated_metric(metrics, min_seconds):
+    """Can any metric of this baseline fail the gate?"""
+    return any(direction == "higher" or (direction == "lower" and value >= min_seconds)
+               for value, direction in metrics.values())
 
 
 def compare_file(current_path, baseline_path, threshold, min_seconds, rows):
@@ -168,21 +175,28 @@ def main():
     rows = []
     regressions = 0
     missing = []
+    ungateable = []
     for path in args.files:
         baseline_path = args.baselines / path.name
         if not baseline_path.exists():
             missing.append(baseline_path)
             continue
+        if not has_gated_metric(load_metrics(baseline_path), args.min_seconds):
+            ungateable.append(baseline_path)
         regressions += compare_file(path, baseline_path, args.threshold, args.min_seconds, rows)
 
     if rows:
         print_table(rows)
     for baseline_path in missing:
         print(f"error: no baseline {baseline_path} (seed it with --update)", file=sys.stderr)
+    for baseline_path in ungateable:
+        print(f"error: baseline {baseline_path} has no gated metric (every timing is under "
+              f"--min-seconds {args.min_seconds:g} and it has no speedup), so it can never "
+              f"fail", file=sys.stderr)
     if regressions:
         print(f"\nFAIL: {regressions} metric(s) regressed beyond "
               f"{args.threshold * 100:.0f}% of baseline", file=sys.stderr)
-    if regressions or missing:
+    if regressions or missing or ungateable:
         return 1
     print(f"\nOK: no metric regressed beyond {args.threshold * 100:.0f}% of baseline")
     return 0
