@@ -14,10 +14,10 @@
 //   MFLA_BENCH_SCALE=0.5 shrinks the iteration counts (smoke runs).
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "bench_scale.hpp"
 #include "support/failpoint.hpp"
 #include "support/rng.hpp"
 
@@ -27,13 +27,6 @@ using namespace mfla;
 
 constexpr double kNoiseMargin = 1.25;  // unarmed may not cost >25% over plain
 constexpr int kRepetitions = 7;        // best-of: min wall-clock per variant
-
-double scale_from_env() {
-  const char* s = std::getenv("MFLA_BENCH_SCALE");
-  if (s == nullptr) return 1.0;
-  const double v = std::atof(s);
-  return v > 0 ? v : 1.0;
-}
 
 // The kernels are deliberately hand-rolled: the subject under test is the
 // per-call check, so the loop bodies just need realistic, optimizer-proof
@@ -110,7 +103,7 @@ volatile double g_sink;  // defeats dead-code elimination across variants
 
 int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "bench_failpoint_overhead.json";
-  const double scale = scale_from_env();
+  const double scale = benchtool::bench_scale();
 
   Rng rng(0xfa17);
   const std::size_t n = 1024;

@@ -15,22 +15,15 @@
 //   MFLA_BENCH_SCALE=0.5 shrinks the corpus (smoke runs).
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "mfla.hpp"
+#include "api/api.hpp"
+#include "bench_scale.hpp"
 
 namespace {
 
 using namespace mfla;
-
-double scale_from_env() {
-  const char* s = std::getenv("MFLA_BENCH_SCALE");
-  if (s == nullptr) return 1.0;
-  const double v = std::atof(s);
-  return v > 0 ? v : 1.0;
-}
 
 struct PassResult {
   double total_seconds = 0.0;
@@ -40,15 +33,16 @@ struct PassResult {
 PassResult run_pass(const std::vector<TestMatrix>& dataset, const std::vector<FormatId>& formats,
                     const ExperimentConfig& cfg) {
   PassResult pr;
-  ScheduleOptions sched;
-  sched.stats = &pr.stats;
+  api::Sweep sweep = api::Sweep::over(dataset);
+  sweep.formats(formats).config(cfg);
   const auto t0 = std::chrono::steady_clock::now();
-  const auto results = run_experiment(dataset, formats, cfg, sched);
+  const api::SweepResult r = sweep.run();
   pr.total_seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  for (const auto& r : results) {
-    if (!r.reference_ok)
-      std::fprintf(stderr, "warning: reference failed for %s: %s\n", r.name.c_str(),
-                   r.reference_failure.c_str());
+  pr.stats = r.stats;
+  for (const auto& mr : r.results) {
+    if (!mr.reference_ok)
+      std::fprintf(stderr, "warning: reference failed for %s: %s\n", mr.name.c_str(),
+                   mr.reference_failure.c_str());
   }
   return pr;
 }
@@ -57,7 +51,7 @@ PassResult run_pass(const std::vector<TestMatrix>& dataset, const std::vector<Fo
 
 int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "bench_reference_tier.json";
-  const double scale = scale_from_env();
+  const double scale = benchtool::bench_scale();
 
   // Well-conditioned Laplacians: eigenvalues of order ||A||, so the dd
   // adequacy bound gamma <= tol |lambda| holds and nothing promotes.

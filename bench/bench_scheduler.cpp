@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "api/sweep.hpp"
 #include "core/experiment.hpp"
 #include "graph/generators.hpp"
 #include "graph/laplacian.hpp"
@@ -74,12 +75,13 @@ void BM_MatrixGranularity(benchmark::State& state) {
     std::vector<MatrixResult> results(ds.size());
     {
       ThreadPool pool(threads);
+      TaskGroup group(pool);
       for (std::size_t i = 0; i < ds.size(); ++i) {
-        pool.submit([&results, &ds, &formats, &cfg, i] {
+        group.submit([&results, &ds, &formats, &cfg, i] {
           results[i] = solve_matrix_serially(ds[i], formats, cfg);
         });
       }
-      pool.wait_idle();
+      group.wait();
     }
     benchmark::DoNotOptimize(results.data());
   }
@@ -88,13 +90,12 @@ void BM_MatrixGranularity(benchmark::State& state) {
 /// The task-parallel engine: (matrix, format) granularity with cached
 /// per-matrix references.
 void BM_TaskGranularity(benchmark::State& state) {
-  const auto ds = skewed_corpus();
-  const auto formats = bench_formats();
-  const auto cfg = bench_config();
-  ScheduleOptions sched;
-  sched.threads = static_cast<std::size_t>(state.range(0));
+  api::Sweep sweep = api::Sweep::over(skewed_corpus());
+  sweep.formats(bench_formats())
+      .config(bench_config())
+      .threads(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    auto results = run_experiment(ds, formats, cfg, sched);
+    auto results = sweep.run().results;
     benchmark::DoNotOptimize(results.data());
   }
 }

@@ -15,7 +15,6 @@
 //   MFLA_BENCH_SCALE=0.5 shrinks the corpus (smoke runs).
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -24,19 +23,13 @@
 #include <vector>
 
 #include "api/api.hpp"
+#include "bench_scale.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 
 namespace {
 
 using namespace mfla;
-
-double scale_from_env() {
-  const char* s = std::getenv("MFLA_BENCH_SCALE");
-  if (s == nullptr) return 1.0;
-  const double v = std::atof(s);
-  return v > 0 ? v : 1.0;
-}
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -56,7 +49,7 @@ std::string csv_bytes(const std::vector<MatrixResult>& results, const std::strin
 
 int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "bench_serve.json";
-  const double scale = scale_from_env();
+  const double scale = benchtool::bench_scale();
   const std::size_t count = std::max<std::size_t>(1, static_cast<std::size_t>(4 * scale));
   constexpr int kTenants = 4;
 

@@ -9,29 +9,13 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "api/api.hpp"
+#include "bench_scale.hpp"
 
 namespace mfla::benchtool {
-
-/// Global scale factor for dataset sizes: MFLA_BENCH_SCALE (default 1.0).
-inline double bench_scale() {
-  const char* env = std::getenv("MFLA_BENCH_SCALE");
-  if (env == nullptr) return 1.0;
-  const double v = std::atof(env);
-  return v > 0 ? v : 1.0;
-}
-
-inline std::size_t scaled(std::size_t n) {
-  const auto s = static_cast<std::size_t>(static_cast<double>(n) * bench_scale() + 0.5);
-  return s < 3 ? 3 : s;
-}
-
-/// The paper's format lineup (everything except the float128 reference).
-inline std::vector<FormatId> evaluation_formats() { return api::evaluation_formats(); }
 
 inline void run_figure(const std::string& figure_id, const std::string& title,
                        const std::vector<TestMatrix>& dataset) {
@@ -51,7 +35,7 @@ inline void run_figure(const std::string& figure_id, const std::string& title,
   std::printf("\n\n");
 
   const api::SweepResult sweep = api::Sweep::over(dataset)
-                                     .formats(evaluation_formats())
+                                     .formats(api::evaluation_formats())
                                      .nev(10)
                                      .buffer(2)
                                      .restarts(60)

@@ -11,9 +11,9 @@
 //
 // The underlying library surface (formats, sparse/dense containers,
 // corpora, graph generators, reports) is re-exported via mfla.hpp so one
-// include serves a whole driver. The engine underneath (run_experiment,
-// compute_reference_tiered, run_format_dynamic) stays public for code that
-// needs a single stage; docs/API.md maps it onto the facade.
+// include serves a whole driver. The per-matrix stages underneath
+// (compute_reference_tiered, run_format_dynamic) stay public for code that
+// needs a single one; docs/API.md maps the rest onto the facade.
 #pragma once
 
 #include "api/sinks.hpp"

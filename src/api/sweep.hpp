@@ -10,15 +10,17 @@
 //                     .sink(std::make_shared<api::CsvSink>("out/raw.csv"))
 //                     .run();
 //
-// Sweep subsumes the former three-struct sprawl (ExperimentConfig,
-// ScheduleOptions, PartialSchurOptions wiring) behind one builder,
-// validates the configuration up front (std::invalid_argument with a
-// precise message instead of a half-started sweep), and drives the
-// task-parallel engine with the ResultSink event pipeline attached.
-// Results are byte-identical to a direct run_experiment +
-// write_results_csv call for the same corpus/config/threads.
+// Sweep validates the configuration up front (std::invalid_argument with a
+// precise message instead of a half-started sweep) and then IS the
+// task-parallel engine (api/sweep.cpp): it schedules the per-matrix stages
+// of core/experiment.hpp on a work-stealing pool, journals and resumes,
+// consults the reference cache, honors cancellation, and builds every
+// ResultSink event itself. Results are byte-identical to the serial
+// compute_reference_tiered + run_format_dynamic pipeline for any thread
+// count.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -29,6 +31,10 @@
 #include "core/experiment.hpp"
 #include "core/reference_cache.hpp"
 #include "datasets/test_matrix.hpp"
+
+namespace mfla {
+class ThreadPool;  // support/thread_pool.hpp
+}  // namespace mfla
 
 namespace mfla::api {
 
@@ -77,7 +83,7 @@ class Sweep {
   Sweep& reference_tier(const std::string& name);
   Sweep& config(const ExperimentConfig& cfg);  ///< wholesale override
 
-  // -- engine configuration (ScheduleOptions) -------------------------------
+  // -- engine configuration -------------------------------------------------
   Sweep& threads(std::size_t n);  ///< 0 = hardware concurrency
   /// Run on an externally owned ThreadPool instead of a per-run() pool —
   /// how the serving daemon multiplexes many tenant sweeps over one pool.
@@ -88,14 +94,23 @@ class Sweep {
   /// finish and are journaled — the drain path shared by the daemon's
   /// SIGTERM handling and the CLI's interrupt handling.
   Sweep& cancel(const std::atomic<bool>* flag);
+  /// JSONL checkpoint journal (core/results_io.hpp): every completed run
+  /// is appended and flushed. Requires unique matrix names in the corpus.
   Sweep& checkpoint(std::string path);
+  /// Reuse the runs the checkpoint already records instead of recomputing
+  /// them; its meta line must match this sweep's config, formats and
+  /// corpus size. Without resume() an existing checkpoint is truncated.
   Sweep& resume(bool on = true);
+  /// Persistent reference cache in `directory`. A matrix whose runs are all
+  /// journaled retires before its reference task, so it never touches it.
   Sweep& cache(std::string directory);
   /// Attach an externally owned ReferenceCache (shared across concurrent
   /// sweeps; it is concurrency-safe). Overrides cache(directory).
   Sweep& cache(ReferenceCache* shared);
 
   // -- observers ------------------------------------------------------------
+  /// Add a sink; events fan out to every sink in registration order, one
+  /// event at a time (api/sinks.hpp).
   Sweep& sink(std::shared_ptr<ResultSink> s);
 
   /// Validate and run. Throws std::invalid_argument on builder-state

@@ -7,20 +7,16 @@
 //      and compute relative L2 errors over the first nev pairs,
 //   3. classify the outcome (ok / ∞ω / ∞σ).
 //
-// Execution engine (experiment.cpp): work is scheduled on a work-stealing
-// thread pool at (matrix, format) granularity. The float128 reference solve
-// is a per-matrix prerequisite task whose result is cached and shared by all
-// format runs of that matrix. Completed runs can be journaled to a JSONL
-// checkpoint (core/results_io.hpp) so an interrupted sweep resumes with only
-// the missing runs. Results are bit-identical for any thread count: every
-// run depends only on (matrix, config) — the start vector comes from an RNG
-// stream derived from the matrix name, never from scheduling order.
+// This header holds the per-matrix stages and the types they share. The
+// engine that schedules them over a corpus — thread pool, journal, resume,
+// reference cache, cancellation, sink events — is api::Sweep
+// (api/sweep.hpp). Every run depends only on (matrix, config): the start
+// vector comes from an RNG stream derived from the matrix name, never from
+// scheduling order, so results are bit-identical for any thread count.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -188,21 +184,9 @@ FormatRun run_format(const TestMatrix& tm, const ReferenceSolution& ref,
                                            const ExperimentConfig& cfg,
                                            const std::vector<double>& start, FormatId id);
 
-/// Progress snapshot handed to ScheduleOptions::on_run after every
-/// completed format run (and to on_reference_failure when a failed
-/// reference retires a matrix).
-struct ExperimentProgress {
-  std::size_t done = 0;     // format runs completed (or retired) so far
-  std::size_t total = 0;    // format runs this invocation has to produce
-  double elapsed_seconds = 0.0;
-};
-
-class ReferenceCache;  // core/reference_cache.hpp
-
-/// Aggregate counters for one run_experiment invocation, written before it
-/// returns when ScheduleOptions::stats is set. The reference counters are
-/// what the cache tests and bench_reference_cache observe: a fully warm
-/// sweep executes zero float128 solves.
+/// Aggregate counters for one api::Sweep::run() (SweepResult::stats). The
+/// reference counters are what the cache tests and bench_reference_cache
+/// observe: a fully warm sweep executes zero float128 solves.
 struct SweepStats {
   std::size_t reference_solves = 0;   // reference solves executed (any tier)
   double reference_seconds = 0.0;     // wall-clock summed over those solves
@@ -228,75 +212,10 @@ struct SweepStats {
   // plus reference solves whose abort was recorded as a reference failure.
   std::size_t solve_faults = 0;
   std::size_t reference_faults = 0;
-  // Runs skipped because ScheduleOptions::cancel fired mid-sweep. Nonzero
+  // Runs skipped because the Sweep::cancel flag fired mid-sweep. Nonzero
   // means the returned results are INCOMPLETE (the journal, if any, holds
   // everything that did finish and the sweep is resumable).
   std::size_t canceled_runs = 0;
 };
-
-/// What the solve guard caught for one (matrix, format) run or one
-/// reference solve, delivered through ScheduleOptions::on_fault.
-struct SolveFault {
-  /// "format" (a per-format run; `format` is valid) or "reference" (the
-  /// shared reference solve; `format` is meaningless).
-  const char* stage = "format";
-  FormatId format = FormatId::float64;
-  std::string what;  // the captured exception message
-};
-
-class ThreadPool;  // support/thread_pool.hpp
-
-/// Engine knobs, orthogonal to the numerical ExperimentConfig.
-struct ScheduleOptions {
-  /// Worker threads; 0 = hardware concurrency. Ignored when `pool` is set.
-  std::size_t threads = 0;
-  /// Run on this externally owned pool instead of creating one per
-  /// invocation. Several concurrent run_experiment calls may share a pool
-  /// (the serving daemon's scheduler does); each invocation waits only on
-  /// its own tasks. Results stay bit-identical either way.
-  ThreadPool* pool = nullptr;
-  /// Cooperative cancellation (not owned; may be flipped from a signal
-  /// handler or another thread). Once true, tasks not yet started are
-  /// skipped and counted in SweepStats::canceled_runs; runs already in
-  /// flight finish and are journaled normally, so a canceled checkpointed
-  /// sweep is always resumable. The returned results are incomplete when
-  /// canceled_runs != 0.
-  const std::atomic<bool>* cancel = nullptr;
-  /// JSONL journal path; empty disables checkpointing. Requires unique
-  /// matrix names in the dataset.
-  std::string checkpoint_path;
-  /// Reuse runs recorded in checkpoint_path instead of recomputing them.
-  /// The journal's meta line must match the current config/formats/dataset
-  /// (throws std::runtime_error otherwise). Without this flag an existing
-  /// checkpoint file is truncated and the sweep starts from scratch.
-  bool resume = false;
-  /// Persistent reference-solution cache (not owned); nullptr disables
-  /// caching. A matrix whose runs are all journaled is retired before its
-  /// prerequisite task is scheduled, so it never touches the cache.
-  ReferenceCache* ref_cache = nullptr;
-  /// Filled with this invocation's counters when non-null.
-  SweepStats* stats = nullptr;
-  /// Invoked (serialized) with every format run completed by THIS
-  /// invocation — journal-replayed runs are not re-announced. This is the
-  /// event stream the api layer's ResultSink pipeline consumes.
-  std::function<void(const TestMatrix&, const FormatRun&, const ExperimentProgress&)> on_run;
-  /// Invoked (serialized, like on_run) when a reference solve fails and
-  /// retires its matrix; the progress snapshot already counts the retired
-  /// format runs as done.
-  std::function<void(const TestMatrix&, const std::string& failure, const ExperimentProgress&)>
-      on_reference_failure;
-  /// Invoked (serialized, like on_run) when the solve guard converts a
-  /// solver abort into a structured failure. For stage "format" the
-  /// corresponding RunOutcome::fault run is still delivered through on_run
-  /// right after; for stage "reference" the matrix retires through
-  /// on_reference_failure.
-  std::function<void(const TestMatrix&, const SolveFault&)> on_fault;
-};
-
-/// Evaluate a whole dataset on the task-parallel engine.
-[[nodiscard]] std::vector<MatrixResult> run_experiment(const std::vector<TestMatrix>& dataset,
-                                                       const std::vector<FormatId>& formats,
-                                                       const ExperimentConfig& cfg,
-                                                       const ScheduleOptions& sched);
 
 }  // namespace mfla

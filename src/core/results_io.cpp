@@ -1,5 +1,6 @@
 #include "core/results_io.hpp"
 
+#include <array>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -8,7 +9,6 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 
 #include "core/report.hpp"
@@ -37,12 +37,121 @@ RunOutcome outcome_from_name(const std::string& s) {
 
 namespace {
 
-std::vector<std::string> split_csv(const std::string& line) {
-  std::vector<std::string> out;
+constexpr std::array<const char*, 15> kCsvColumns = {
+    "matrix",  "class",   "category", "n",          "nnz",   "format",   "outcome", "eig_abs",
+    "eig_rel", "vec_abs", "vec_rel",  "similarity", "nconv", "restarts", "matvecs"};
+
+/// RFC 4180: a field holding a comma, a quote or a line break is written
+/// quoted, its quotes doubled; every other field is written as is.
+void write_csv_field(std::ostream& out, const std::string& field) {
+  if (field.find_first_of(",\"\r\n") == std::string::npos) {
+    out << field;
+    return;
+  }
+  out << '"';
+  for (const char c : field) {
+    if (c == '"') out << '"';
+    out << c;
+  }
+  out << '"';
+}
+
+/// Read one RFC 4180 record into `fields`. A quoted field may hold commas,
+/// doubled quotes and line breaks, so a record can span several physical
+/// lines; `line` counts the lines consumed. Returns false at end of input.
+bool read_csv_record(std::istream& in, std::size_t& line, std::vector<std::string>& fields) {
+  std::string text;
+  if (!std::getline(in, text)) return false;
+  const std::size_t first_line = ++line;
+  fields.clear();
   std::string field;
-  std::istringstream ss(line);
-  while (std::getline(ss, field, ',')) out.push_back(field);
-  return out;
+  bool quoted = false;
+  for (std::size_t i = 0;; ++i) {
+    if (i == text.size()) {
+      if (!quoted) break;
+      std::string more;
+      if (!std::getline(in, more))
+        throw std::runtime_error("results csv: line " + std::to_string(first_line) +
+                                 ": unterminated quoted field");
+      ++line;
+      text += '\n';
+      text += more;
+    }
+    const char c = text[i];
+    if (quoted) {
+      if (c != '"') {
+        field += c;
+      } else if (i + 1 < text.size() && text[i + 1] == '"') {
+        field += '"';
+        ++i;
+      } else {
+        quoted = false;
+      }
+    } else if (c == ',') {
+      fields.push_back(std::move(field));
+      field.clear();
+    } else if (c == '"' && field.empty()) {
+      quoted = true;
+    } else {
+      field += c;
+    }
+  }
+  fields.push_back(std::move(field));
+  return true;
+}
+
+/// A numeric CSV field, or std::invalid_argument naming its column.
+template <class Parse>
+auto csv_number(const std::vector<std::string>& f, std::size_t col, Parse parse) {
+  try {
+    return parse(f[col]);
+  } catch (const std::exception&) {
+    throw std::invalid_argument(std::string("bad ") + kCsvColumns[col] + " '" + f[col] + "'");
+  }
+}
+
+std::size_t to_size(const std::string& s) { return static_cast<std::size_t>(std::stoull(s)); }
+double to_double(const std::string& s) { return std::stod(s); }
+int to_int(const std::string& s) { return std::stoi(s); }
+
+/// Fold one data row into `results` (rows of a matrix share its entry).
+void parse_results_row(const std::vector<std::string>& f,
+                       std::map<std::string, std::size_t>& index,
+                       std::vector<MatrixResult>& results) {
+  if (f.size() != kCsvColumns.size())
+    throw std::invalid_argument("expected " + std::to_string(kCsvColumns.size()) +
+                                " fields, found " + std::to_string(f.size()));
+  const bool reference_failed = f[6] == "reference_failed";
+  auto [it, inserted] = index.try_emplace(f[0], results.size());
+  if (inserted) {
+    MatrixResult mr;
+    mr.name = f[0];
+    mr.klass = f[1];
+    mr.category = f[2];
+    mr.n = csv_number(f, 3, to_size);
+    mr.nnz = csv_number(f, 4, to_size);
+    mr.reference_ok = !reference_failed;
+    results.push_back(mr);
+  }
+  MatrixResult& mr = results[it->second];
+  if (reference_failed) {
+    mr.reference_ok = false;
+    return;
+  }
+  FormatRun run;
+  run.format = format_from_name(f[5]);
+  run.outcome = outcome_from_name(f[6]);
+  if (run.outcome == RunOutcome::ok) {
+    run.eigenvalue_error.absolute = csv_number(f, 7, to_double);
+    run.eigenvalue_error.relative = csv_number(f, 8, to_double);
+    run.eigenvector_error.absolute = csv_number(f, 9, to_double);
+    run.eigenvector_error.relative = csv_number(f, 10, to_double);
+    run.mean_similarity = csv_number(f, 11, to_double);
+  }
+  run.nconverged = csv_number(f, 12, to_size);
+  run.restarts = csv_number(f, 13, to_int);
+  run.matvecs = csv_number(f, 14, to_size);
+  mr.runs.push_back(run);
 }
 
 }  // namespace
@@ -54,17 +163,25 @@ void write_results_csv(const std::string& path, const std::vector<MatrixResult>&
     throw IoError("results csv: cannot write '" + path + "': " + std::strerror(err));
   if (!out) throw IoError("results csv: cannot open '" + path + "' for writing");
   out.precision(17);
-  out << "matrix,class,category,n,nnz,format,outcome,eig_abs,eig_rel,vec_abs,vec_rel,"
-         "similarity,nconv,restarts,matvecs\n";
+  for (std::size_t c = 0; c < kCsvColumns.size(); ++c) out << (c ? "," : "") << kCsvColumns[c];
+  out << '\n';
+  const auto write_matrix = [&out](const MatrixResult& mr) {
+    write_csv_field(out, mr.name);
+    out << ',';
+    write_csv_field(out, mr.klass);
+    out << ',';
+    write_csv_field(out, mr.category);
+    out << ',' << mr.n << ',' << mr.nnz;
+  };
   for (const auto& mr : results) {
     if (!mr.reference_ok) {
-      out << mr.name << ',' << mr.klass << ',' << mr.category << ',' << mr.n << ',' << mr.nnz
-          << ",-,reference_failed,,,,,,,,\n";
+      write_matrix(mr);
+      out << ",-,reference_failed,,,,,,,,\n";
       continue;
     }
     for (const auto& run : mr.runs) {
-      out << mr.name << ',' << mr.klass << ',' << mr.category << ',' << mr.n << ',' << mr.nnz
-          << ',' << format_info(run.format).name << ',' << outcome_name(run.outcome) << ','
+      write_matrix(mr);
+      out << ',' << format_info(run.format).name << ',' << outcome_name(run.outcome) << ','
           << run.eigenvalue_error.absolute << ',' << run.eigenvalue_error.relative << ','
           << run.eigenvector_error.absolute << ',' << run.eigenvector_error.relative << ','
           << run.mean_similarity << ',' << run.nconverged << ',' << run.restarts << ','
@@ -80,45 +197,20 @@ void write_results_csv(const std::string& path, const std::vector<MatrixResult>&
 std::vector<MatrixResult> read_results_csv(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw IoError("results csv: cannot open '" + path + "'");
-  std::string line;
-  if (!std::getline(in, line)) throw std::runtime_error("results csv: empty file");
+  std::size_t line = 0;
+  std::vector<std::string> f;
+  if (!read_csv_record(in, line, f)) throw std::runtime_error("results csv: empty file");
   std::map<std::string, std::size_t> index;
   std::vector<MatrixResult> results;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const auto f = split_csv(line);
-    if (f.size() < 7) throw std::runtime_error("results csv: bad row '" + line + "'");
-    auto [it, inserted] = index.try_emplace(f[0], results.size());
-    if (inserted) {
-      MatrixResult mr;
-      mr.name = f[0];
-      mr.klass = f[1];
-      mr.category = f[2];
-      mr.n = static_cast<std::size_t>(std::stoull(f[3]));
-      mr.nnz = static_cast<std::size_t>(std::stoull(f[4]));
-      mr.reference_ok = f[6] != "reference_failed";
-      results.push_back(mr);
+  while (true) {
+    const std::size_t row_line = line + 1;
+    if (!read_csv_record(in, line, f)) break;
+    if (f.size() == 1 && f[0].empty()) continue;  // blank line
+    try {
+      parse_results_row(f, index, results);
+    } catch (const std::invalid_argument& e) {
+      throw std::runtime_error("results csv: line " + std::to_string(row_line) + ": " + e.what());
     }
-    MatrixResult& mr = results[it->second];
-    if (f[6] == "reference_failed") {
-      mr.reference_ok = false;
-      continue;
-    }
-    if (f.size() < 15) throw std::runtime_error("results csv: truncated row '" + line + "'");
-    FormatRun run;
-    run.format = format_from_name(f[5]);
-    run.outcome = outcome_from_name(f[6]);
-    if (run.outcome == RunOutcome::ok) {
-      run.eigenvalue_error.absolute = std::stod(f[7]);
-      run.eigenvalue_error.relative = std::stod(f[8]);
-      run.eigenvector_error.absolute = std::stod(f[9]);
-      run.eigenvector_error.relative = std::stod(f[10]);
-      run.mean_similarity = std::stod(f[11]);
-    }
-    run.nconverged = static_cast<std::size_t>(std::stoull(f[12]));
-    run.restarts = std::stoi(f[13]);
-    run.matvecs = static_cast<std::size_t>(std::stoull(f[14]));
-    mr.runs.push_back(run);
   }
   return results;
 }
@@ -202,7 +294,7 @@ void JournalWriter::append_line(const std::string& line) {
   if (MFLA_FAILPOINT("journal.flush") != 0) out_.setstate(std::ios::failbit);
   out_.flush();
   // Surface write failures (e.g. disk full) instead of silently dropping
-  // checkpoint records — the engine propagates this out of run_experiment.
+  // checkpoint records — the engine propagates this out of Sweep::run().
   if (!out_) throw IoError("journal: write failed (disk full or file removed?)");
 }
 

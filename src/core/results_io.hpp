@@ -30,10 +30,13 @@ namespace mfla {
 /// Write raw per-run results. Columns:
 /// matrix,class,category,n,nnz,format,outcome,eig_abs,eig_rel,vec_abs,
 /// vec_rel,similarity,nconv,restarts,matvecs
+/// A matrix, class or category holding a comma, a quote or a line break is
+/// quoted per RFC 4180; every other field is written verbatim.
 void write_results_csv(const std::string& path, const std::vector<MatrixResult>& results);
 
 /// Read back a results CSV written by write_results_csv. Only the fields
 /// needed to rebuild distributions are restored (errors, outcome, format).
+/// A malformed row throws std::runtime_error naming its 1-based line.
 [[nodiscard]] std::vector<MatrixResult> read_results_csv(const std::string& path);
 
 [[nodiscard]] const char* outcome_name(RunOutcome o) noexcept;

@@ -1,4 +1,6 @@
-// Work-stealing thread pool used by the experiment engine.
+// Work-stealing thread pool used by the sweep engine (api/sweep.cpp), the
+// serving daemon and the benches, plus TaskGroup, the only way to wait on
+// pool work.
 //
 // Each worker owns a deque: it pops its own tasks from the front (so a
 // single-threaded pool executes external submissions in submission order)
@@ -8,23 +10,22 @@
 // dependent tasks, e.g. the per-format runs spawned once a reference solve
 // completes — they stay local unless another worker is idle and steals).
 //
-// Error handling: `async` returns a std::future that carries the task's
-// exception; for fire-and-forget `submit`, the first exception thrown by a
-// task is captured and rethrown from the next `wait_idle()` call (the pool
-// stays usable afterwards). The destructor drains every queued task before
-// joining.
+// Completion and errors belong to TaskGroup: submit work through a group,
+// wait() on it, and get the group's first task exception rethrown there.
+// A task handed to ThreadPool::submit directly must not throw — nothing
+// catches it, so an escaping exception terminates the process. The
+// destructor drains every queued task before joining.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
+#include <exception>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -48,7 +49,7 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// Drains all queued tasks (including tasks submitted by running tasks),
-  /// then joins the workers. Pending submit() errors are swallowed.
+  /// then joins the workers.
   ~ThreadPool() {
     {
       std::lock_guard<std::mutex> lk(signal_mtx_);
@@ -60,9 +61,9 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t thread_count() const noexcept { return workers_.size(); }
 
-  /// Enqueue a task. Safe to call concurrently and from inside tasks.
+  /// Enqueue a task. Safe to call concurrently and from inside tasks. The
+  /// task must not throw; use TaskGroup::submit for work that may.
   void submit(std::function<void()> task) {
-    pending_.fetch_add(1, std::memory_order_relaxed);
     const std::size_t target = this_pool_ == this
                                    ? this_worker_
                                    : next_.fetch_add(1, std::memory_order_relaxed) % queues_.size();
@@ -80,30 +81,6 @@ class ThreadPool {
       std::lock_guard<std::mutex> lk(signal_mtx_);
     }
     work_cv_.notify_one();
-  }
-
-  /// Enqueue a task and get its result (or exception) as a future.
-  template <class F>
-  [[nodiscard]] auto async(F&& fn) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
-    using R = std::invoke_result_t<std::decay_t<F>>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> fut = task->get_future();
-    submit([task] { (*task)(); });
-    return fut;
-  }
-
-  /// Block until every submitted task (including nested submissions) has
-  /// finished. Rethrows the first exception thrown by a submit() task since
-  /// the previous wait_idle(), if any.
-  void wait_idle() {
-    std::unique_lock<std::mutex> lk(signal_mtx_);
-    idle_cv_.wait(lk, [this] { return pending_.load(std::memory_order_acquire) == 0; });
-    if (first_error_) {
-      std::exception_ptr err;
-      std::swap(err, first_error_);
-      lk.unlock();
-      std::rethrow_exception(err);
-    }
   }
 
  private:
@@ -139,27 +116,14 @@ class ThreadPool {
     return false;
   }
 
-  void run_task(std::function<void()>& task) {
-    try {
-      task();
-    } catch (...) {
-      std::lock_guard<std::mutex> lk(signal_mtx_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-    task = nullptr;  // release captures before signalling idle
-    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lk(signal_mtx_);
-      idle_cv_.notify_all();
-    }
-  }
-
   void worker_loop(std::size_t self) {
     this_pool_ = this;
     this_worker_ = self;
     std::function<void()> task;
     while (true) {
       if (find_task(self, task)) {
-        run_task(task);
+        task();
+        task = nullptr;  // release captures before looking for more work
         continue;
       }
       std::unique_lock<std::mutex> lk(signal_mtx_);
@@ -174,11 +138,8 @@ class ThreadPool {
   std::vector<std::thread> workers_;
   std::mutex signal_mtx_;
   std::condition_variable work_cv_;
-  std::condition_variable idle_cv_;
-  std::exception_ptr first_error_;
-  std::atomic<std::size_t> pending_{0};  // submitted, not yet finished
-  std::atomic<std::size_t> queued_{0};   // sitting in a deque
-  std::atomic<std::size_t> next_{0};     // round-robin cursor for external submits
+  std::atomic<std::size_t> queued_{0};  // sitting in a deque
+  std::atomic<std::size_t> next_{0};    // round-robin cursor for external submits
   bool stop_ = false;
 };
 
@@ -187,12 +148,10 @@ inline thread_local std::size_t ThreadPool::this_worker_ = 0;
 
 /// A completion scope over a (possibly shared) ThreadPool.
 ///
-/// ThreadPool::wait_idle() waits for the WHOLE pool to drain and rethrows
-/// anyone's first error — fine when the caller owns the pool, wrong once
-/// several sweeps share one pool (the serving daemon). A TaskGroup counts
-/// only its own submissions: wait() returns when every task submitted
-/// through THIS group has finished, regardless of what else is running on
-/// the pool, and rethrows only this group's first exception.
+/// A TaskGroup counts only its own submissions: wait() returns when every
+/// task submitted through THIS group has finished, regardless of what else
+/// is running on the pool (several sweeps share one pool in the serving
+/// daemon), and rethrows only this group's first exception.
 ///
 /// Nested submissions (a group task submitting more group tasks) are safe
 /// as long as they happen before the submitting task returns — the parent
@@ -206,7 +165,7 @@ class TaskGroup {
   TaskGroup& operator=(const TaskGroup&) = delete;
 
   /// Blocks until all tasks have finished; never throws (a pending error
-  /// that was never wait()ed for is dropped, matching ThreadPool's dtor).
+  /// that was never wait()ed for is dropped).
   ~TaskGroup() {
     std::unique_lock<std::mutex> lk(mtx_);
     cv_.wait(lk, [this] { return pending_.load(std::memory_order_acquire) == 0; });

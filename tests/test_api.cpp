@@ -1,4 +1,4 @@
-// mfla::api facade tests: SweepBuilder-vs-direct-engine byte identity, the
+// mfla::api facade tests: SweepBuilder-vs-serial-pipeline byte identity, the
 // ResultSink event pipeline (ordering and serialization under threads=N),
 // registry-driven format keys, and invalid-builder-state errors.
 #include <gtest/gtest.h>
@@ -57,6 +57,31 @@ std::string csv_of(const std::vector<MatrixResult>& results, const std::string& 
   return data;
 }
 
+/// The serial pipeline over the public per-matrix stages: every matrix's
+/// tiered reference solve, then each format in order, on this thread.
+std::vector<MatrixResult> serial_oracle(const std::vector<TestMatrix>& ds,
+                                        const std::vector<FormatId>& formats,
+                                        const ExperimentConfig& cfg) {
+  std::vector<MatrixResult> out;
+  for (const TestMatrix& tm : ds) {
+    MatrixResult& res = out.emplace_back();
+    res.name = tm.name;
+    res.klass = tm.klass;
+    res.category = tm.category;
+    res.n = tm.n();
+    res.nnz = tm.nnz();
+    Rng rng(tm.name, cfg.seed);
+    const std::vector<double> start = rng.unit_vector(tm.n());
+    const ReferenceSolution ref = compute_reference_tiered(tm, cfg, start).solution;
+    res.reference_ok = ref.ok;
+    res.reference_failure = ref.failure;
+    if (!ref.ok) continue;
+    for (const FormatId id : formats)
+      res.runs.push_back(run_format_dynamic(tm, ref, cfg, start, id));
+  }
+  return out;
+}
+
 // ---------------------------------------------------------------------------
 // Format registry keys
 // ---------------------------------------------------------------------------
@@ -107,7 +132,7 @@ TEST(FormatRegistry, DispatchFormatRejectsForgedIds) {
 }
 
 // ---------------------------------------------------------------------------
-// SweepBuilder vs a direct engine call: byte-identical results
+// SweepBuilder vs the serial per-matrix pipeline: byte-identical results
 // ---------------------------------------------------------------------------
 
 TEST(SweepBuilder, ByteIdenticalToLegacyPath) {
@@ -115,10 +140,8 @@ TEST(SweepBuilder, ByteIdenticalToLegacyPath) {
   const auto formats = api_formats();
   const auto cfg = api_config();
 
-  // The engine called directly, then write_results_csv.
-  ScheduleOptions sched;
-  sched.threads = 2;
-  const std::string legacy_csv = csv_of(run_experiment(ds, formats, cfg, sched), "legacy");
+  // The stages called one after another, then write_results_csv.
+  const std::string legacy_csv = csv_of(serial_oracle(ds, formats, cfg), "legacy");
   ASSERT_FALSE(legacy_csv.empty());
 
   // Facade: same corpus/config/threads through the builder, raw CSV via a

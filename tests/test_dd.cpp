@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "api/sweep.hpp"
 #include "arith/dd.hpp"
 #include "arith/quad.hpp"
 #include "arith/traits.hpp"
@@ -346,30 +347,25 @@ TEST(ReferenceTierEngine, DdFirstMatchesF128OnlyByteForByteWhenNothingPromotes) 
   const auto ds = tier_dataset();
   const std::vector<FormatId> formats = {FormatId::float32, FormatId::takum16};
 
-  SweepStats f128_stats, dd_stats;
-  ScheduleOptions f128_sched;
-  f128_sched.threads = 2;
-  f128_sched.stats = &f128_stats;
-  const std::string f128_csv =
-      csv_of(run_experiment(ds, formats, tier_config(ReferenceTier::f128_only), f128_sched),
-             "f128");
-  EXPECT_EQ(f128_stats.reference_dd_solves, 0u) << "f128_only must never touch dd";
-  EXPECT_EQ(f128_stats.reference_promotions, 0u);
+  const auto sweep = [&](ReferenceTier tier) {
+    return api::Sweep::over(ds).formats(formats).config(tier_config(tier)).threads(2).run();
+  };
+  const api::SweepResult f128 = sweep(ReferenceTier::f128_only);
+  const std::string f128_csv = csv_of(f128.results, "f128");
+  EXPECT_EQ(f128.stats.reference_dd_solves, 0u) << "f128_only must never touch dd";
+  EXPECT_EQ(f128.stats.reference_promotions, 0u);
 
-  ScheduleOptions dd_sched;
-  dd_sched.threads = 2;
-  dd_sched.stats = &dd_stats;
-  const std::string dd_csv = csv_of(
-      run_experiment(ds, formats, tier_config(ReferenceTier::dd_first), dd_sched), "dd");
+  const api::SweepResult dd = sweep(ReferenceTier::dd_first);
+  const std::string dd_csv = csv_of(dd.results, "dd");
 
   // Well-conditioned Laplacians certify in dd: no promotion, and the CSV —
   // every eigenvalue/eigenvector error of every format run — is
   // byte-identical to the float128 oracle's.
-  EXPECT_EQ(dd_stats.reference_dd_solves, ds.size());
-  EXPECT_EQ(dd_stats.reference_dd_certified, ds.size());
-  EXPECT_EQ(dd_stats.reference_promotions, 0u);
-  EXPECT_GT(dd_stats.reference_dd_seconds, 0.0);
-  EXPECT_EQ(dd_stats.reference_f128_seconds, 0.0);
+  EXPECT_EQ(dd.stats.reference_dd_solves, ds.size());
+  EXPECT_EQ(dd.stats.reference_dd_certified, ds.size());
+  EXPECT_EQ(dd.stats.reference_promotions, 0u);
+  EXPECT_GT(dd.stats.reference_dd_seconds, 0.0);
+  EXPECT_EQ(dd.stats.reference_f128_seconds, 0.0);
   EXPECT_EQ(dd_csv, f128_csv);
 }
 
@@ -428,18 +424,15 @@ TEST(ReferenceTierEngine, IllConditionedMatrixForcesPromotionAndMatchesF128) {
     }
 
   // Engine telemetry counts the promotion.
-  SweepStats stats;
-  ScheduleOptions sched;
-  sched.threads = 1;
-  sched.stats = &stats;
-  const std::vector<TestMatrix> ds = {tm};
-  const std::vector<FormatId> formats = {FormatId::float64};
-  const auto dd_results = run_experiment(ds, formats, cfg, sched);
-  EXPECT_EQ(stats.reference_dd_solves, 1u);
-  EXPECT_EQ(stats.reference_promotions, 1u);
-  EXPECT_EQ(stats.reference_dd_certified, 0u);
-  const auto f128_results = run_experiment(ds, formats, f128_cfg, sched);
-  EXPECT_EQ(csv_of(dd_results, "promo_dd"), csv_of(f128_results, "promo_f128"));
+  const auto sweep = [&](const ExperimentConfig& c) {
+    return api::Sweep::over({tm}).formats({FormatId::float64}).config(c).threads(1).run();
+  };
+  const api::SweepResult dd = sweep(cfg);
+  EXPECT_EQ(dd.stats.reference_dd_solves, 1u);
+  EXPECT_EQ(dd.stats.reference_promotions, 1u);
+  EXPECT_EQ(dd.stats.reference_dd_certified, 0u);
+  const api::SweepResult f128 = sweep(f128_cfg);
+  EXPECT_EQ(csv_of(dd.results, "promo_dd"), csv_of(f128.results, "promo_f128"));
 }
 
 TEST(ReferenceTierCache, TiersUseDistinctKeysAndBothRoundTrip) {
@@ -461,20 +454,18 @@ TEST(ReferenceTierCache, TiersUseDistinctKeysAndBothRoundTrip) {
   TempDir dir("ddtier_cache");
   ReferenceCache cache(dir.path);
   const std::vector<FormatId> formats = {FormatId::float32};
-  SweepStats cold_stats, warm_stats;
-  ScheduleOptions cold;
-  cold.threads = 2;
-  cold.ref_cache = &cache;
-  cold.stats = &cold_stats;
-  const std::string cold_csv = csv_of(run_experiment(ds, formats, dd_cfg, cold), "cache_cold");
-  EXPECT_EQ(cold_stats.reference_dd_solves, ds.size());
+  const auto sweep = [&] {
+    return api::Sweep::over(ds).formats(formats).config(dd_cfg).threads(2).cache(&cache).run();
+  };
+  const api::SweepResult cold = sweep();
+  const std::string cold_csv = csv_of(cold.results, "cache_cold");
+  EXPECT_EQ(cold.stats.reference_dd_solves, ds.size());
 
-  ScheduleOptions warm = cold;
-  warm.stats = &warm_stats;
-  const std::string warm_csv = csv_of(run_experiment(ds, formats, dd_cfg, warm), "cache_warm");
-  EXPECT_EQ(warm_stats.reference_solves, 0u);
-  EXPECT_EQ(warm_stats.reference_dd_solves, 0u);
-  EXPECT_EQ(warm_stats.reference_cache_hits, ds.size());
+  const api::SweepResult warm = sweep();
+  const std::string warm_csv = csv_of(warm.results, "cache_warm");
+  EXPECT_EQ(warm.stats.reference_solves, 0u);
+  EXPECT_EQ(warm.stats.reference_dd_solves, 0u);
+  EXPECT_EQ(warm.stats.reference_cache_hits, ds.size());
   EXPECT_EQ(cold_csv, warm_csv);
 }
 

@@ -1,11 +1,12 @@
 // End-to-end experiment pipeline tests: reference solve, per-format runs,
 // outcome classification (∞ω / ∞σ), distributions and reports, driven
-// through the engine entry point run_experiment.
+// through the engine entry point api::Sweep.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 
+#include "api/sweep.hpp"
 #include "core/distribution.hpp"
 #include "core/experiment.hpp"
 #include "core/report.hpp"
@@ -28,10 +29,10 @@ ExperimentConfig fast_config() {
   return cfg;
 }
 
-/// One matrix through the engine with default schedule options.
+/// One matrix through the engine with default engine options.
 MatrixResult run_one(const TestMatrix& tm, const std::vector<FormatId>& formats,
                      const ExperimentConfig& cfg) {
-  return run_experiment({tm}, formats, cfg, ScheduleOptions{}).front();
+  return api::Sweep::over({tm}).formats(formats).config(cfg).run().results.front();
 }
 
 TEST(Experiment, ReferenceSolveConverges) {
@@ -132,8 +133,11 @@ TEST(Experiment, RunExperimentOverDataset) {
   gopts.max_n = 60;
   const auto dataset = build_general_corpus(gopts);
   ASSERT_GE(dataset.size(), 5u);
-  const auto results = run_experiment(dataset, {FormatId::float64, FormatId::takum64},
-                                      fast_config(), ScheduleOptions{});
+  const auto results = api::Sweep::over(dataset)
+                           .formats({FormatId::float64, FormatId::takum64})
+                           .config(fast_config())
+                           .run()
+                           .results;
   EXPECT_EQ(results.size(), dataset.size());
   std::size_t ok_refs = 0;
   for (const auto& r : results) {

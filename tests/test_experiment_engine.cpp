@@ -1,16 +1,19 @@
-// Task-parallel engine tests: thread-count invariance (bit-identical CSVs),
-// checkpoint journal round-trips, resume after a simulated crash, meta
-// validation, and reference-failure journaling. Cross-checks against a
-// serial per-matrix pipeline written out over the public stages.
+// Task-parallel engine tests, driven through api::Sweep: thread-count
+// invariance (bit-identical CSVs), checkpoint journal round-trips, resume
+// after a simulated crash, meta validation, and reference-failure
+// journaling. Cross-checks against a serial per-matrix pipeline written out
+// over the public stages.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
-#include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "api/sinks.hpp"
+#include "api/sweep.hpp"
 #include "core/experiment.hpp"
 #include "core/results_io.hpp"
 #include "graph/generators.hpp"
@@ -83,12 +86,19 @@ MatrixResult serial_matrix_oracle(const TestMatrix& tm, const std::vector<Format
   return res;
 }
 
-/// Route every progress snapshot the engine hands out — completed runs and
-/// reference failures that retire a matrix — to `fn`.
-void observe_progress(ScheduleOptions& sched, std::function<void(const ExperimentProgress&)> fn) {
-  sched.on_run = [fn](const TestMatrix&, const FormatRun&, const ExperimentProgress& p) { fn(p); };
-  sched.on_reference_failure = [fn](const TestMatrix&, const std::string&,
-                                    const ExperimentProgress& p) { fn(p); };
+/// A sweep of `ds` over the engine formats; each test adds its options.
+api::Sweep engine_sweep(const std::vector<TestMatrix>& ds, const ExperimentConfig& cfg) {
+  return api::Sweep::over(ds).formats(engine_formats()).config(cfg);
+}
+
+/// The run total the sweep observed by `mem` announced: how many runs that
+/// invocation had to produce. 0 when it announced nothing at all — a resume
+/// that replayed everything from the journal.
+std::size_t announced_total(const api::MemorySink& mem) {
+  const auto runs = mem.runs();
+  if (!runs.empty()) return runs.back().total;
+  const auto refs = mem.references();
+  return refs.empty() ? 0 : refs.back().total;
 }
 
 TEST(ExperimentEngine, ThreadCountInvariantResults) {
@@ -96,13 +106,8 @@ TEST(ExperimentEngine, ThreadCountInvariantResults) {
   const auto formats = engine_formats();
   const auto cfg = engine_config();
 
-  ScheduleOptions serial;
-  serial.threads = 1;
-  ScheduleOptions parallel;
-  parallel.threads = 4;
-
-  const auto r1 = run_experiment(ds, formats, cfg, serial);
-  const auto r4 = run_experiment(ds, formats, cfg, parallel);
+  const auto r1 = engine_sweep(ds, cfg).threads(1).run().results;
+  const auto r4 = engine_sweep(ds, cfg).threads(4).run().results;
   // The serial per-matrix pipeline must agree too.
   std::vector<MatrixResult> expected;
   expected.reserve(ds.size());
@@ -121,10 +126,7 @@ TEST(ExperimentEngine, JournalRoundTrip) {
   const std::string ck = "test_out/engine_journal.jsonl";
   std::remove(ck.c_str());
 
-  ScheduleOptions sched;
-  sched.threads = 2;
-  sched.checkpoint_path = ck;
-  const auto results = run_experiment(ds, formats, cfg, sched);
+  const auto results = engine_sweep(ds, cfg).threads(2).checkpoint(ck).run().results;
   for (const auto& r : results) ASSERT_TRUE(r.reference_ok) << r.reference_failure;
 
   const JournalContents jc = read_journal(ck);
@@ -158,10 +160,8 @@ TEST(ExperimentEngine, ResumeAfterTruncationMatchesUninterruptedRun) {
   const std::string ck_cut = "test_out/engine_cut.jsonl";
   std::remove(ck_full.c_str());
 
-  ScheduleOptions sched;
-  sched.threads = 2;
-  sched.checkpoint_path = ck_full;
-  const std::string csv_full = csv_of(run_experiment(ds, formats, cfg, sched), "full");
+  const std::string csv_full =
+      csv_of(engine_sweep(ds, cfg).threads(2).checkpoint(ck_full).run().results, "full");
 
   // Simulate a crash: keep the meta line plus the first three completed
   // runs, then a torn final line from a write that was killed mid-flight.
@@ -173,25 +173,20 @@ TEST(ExperimentEngine, ResumeAfterTruncationMatchesUninterruptedRun) {
     out << "{\"type\":\"run\",\"matrix\":\"eng_";  // torn write, no newline
   }
 
-  ScheduleOptions resume;
-  resume.threads = 2;
-  resume.checkpoint_path = ck_cut;
-  resume.resume = true;
-  std::size_t resumed_total = 0;
-  observe_progress(resume,
-                   [&resumed_total](const ExperimentProgress& p) { resumed_total = p.total; });
-  const std::string csv_resumed = csv_of(run_experiment(ds, formats, cfg, resume), "resumed");
+  const auto resume = [&](const std::shared_ptr<api::MemorySink>& mem) {
+    return engine_sweep(ds, cfg).threads(2).checkpoint(ck_cut).resume().sink(mem).run().results;
+  };
+  auto mem = std::make_shared<api::MemorySink>();
+  const std::string csv_resumed = csv_of(resume(mem), "resumed");
 
   EXPECT_EQ(csv_full, csv_resumed);
   // Only the missing runs were scheduled (9 total, 3 were journaled).
-  EXPECT_EQ(resumed_total, ds.size() * formats.size() - 3);
+  EXPECT_EQ(announced_total(*mem), ds.size() * formats.size() - 3);
   // The journal is now complete again: a second resume schedules nothing.
-  ScheduleOptions noop = resume;
-  bool progressed = false;
-  observe_progress(noop, [&progressed](const ExperimentProgress&) { progressed = true; });
-  const std::string csv_noop = csv_of(run_experiment(ds, formats, cfg, noop), "noop");
+  auto noop = std::make_shared<api::MemorySink>();
+  const std::string csv_noop = csv_of(resume(noop), "noop");
   EXPECT_EQ(csv_full, csv_noop);
-  EXPECT_FALSE(progressed);
+  EXPECT_EQ(announced_total(*noop), 0u);
 
   std::remove(ck_full.c_str());
   std::remove(ck_cut.c_str());
@@ -208,53 +203,41 @@ TEST(ExperimentEngine, ResumeRestoresTornMetaLine) {
     std::ofstream out(ck, std::ios::trunc);
     out << "{\"type\":\"meta\",\"nev\"";  // torn, no newline
   }
-  ScheduleOptions resume;
-  resume.threads = 2;
-  resume.checkpoint_path = ck;
-  resume.resume = true;
-  (void)run_experiment(ds, formats, cfg, resume);
+  (void)engine_sweep(ds, cfg).threads(2).checkpoint(ck).resume().run();
   const JournalContents jc = read_journal(ck);
   EXPECT_TRUE(jc.has_meta);
   EXPECT_EQ(jc.meta, make_journal_meta(cfg, formats, ds.size()));
 
   ExperimentConfig other = cfg;
   other.nev = cfg.nev + 1;
-  EXPECT_THROW((void)run_experiment(ds, formats, other, resume), std::runtime_error);
+  EXPECT_THROW((void)engine_sweep(ds, other).threads(2).checkpoint(ck).resume().run(),
+               std::runtime_error);
   std::remove(ck.c_str());
 }
 
 TEST(ExperimentEngine, ResumeRejectsMismatchedMeta) {
   const auto ds = engine_dataset();
-  const auto formats = engine_formats();
   const auto cfg = engine_config();
   const std::string ck = "test_out/engine_meta.jsonl";
   std::remove(ck.c_str());
 
-  ScheduleOptions sched;
-  sched.threads = 1;
-  sched.checkpoint_path = ck;
-  (void)run_experiment(ds, formats, cfg, sched);
+  (void)engine_sweep(ds, cfg).threads(1).checkpoint(ck).run();
 
   ExperimentConfig other = cfg;
   other.nev = cfg.nev + 1;
-  ScheduleOptions resume = sched;
-  resume.resume = true;
-  EXPECT_THROW((void)run_experiment(ds, formats, other, resume), std::runtime_error);
+  EXPECT_THROW((void)engine_sweep(ds, other).threads(1).checkpoint(ck).resume().run(),
+               std::runtime_error);
   std::remove(ck.c_str());
 }
 
 TEST(ExperimentEngine, ReferenceFailureJournaledAndSkippedOnResume) {
   const auto ds = engine_dataset();
-  const auto formats = engine_formats();
   ExperimentConfig cfg = engine_config();
   cfg.reference_max_restarts = 0;  // impossible budget: every reference fails
   const std::string ck = "test_out/engine_reffail.jsonl";
   std::remove(ck.c_str());
 
-  ScheduleOptions sched;
-  sched.threads = 2;
-  sched.checkpoint_path = ck;
-  const auto results = run_experiment(ds, formats, cfg, sched);
+  const auto results = engine_sweep(ds, cfg).threads(2).checkpoint(ck).run().results;
   for (const auto& r : results) {
     EXPECT_FALSE(r.reference_ok);
     EXPECT_TRUE(r.runs.empty());
@@ -263,12 +246,10 @@ TEST(ExperimentEngine, ReferenceFailureJournaledAndSkippedOnResume) {
   EXPECT_EQ(jc.reference_failures.size(), ds.size());
   EXPECT_TRUE(jc.runs.empty());
 
-  ScheduleOptions resume = sched;
-  resume.resume = true;
-  bool progressed = false;
-  observe_progress(resume, [&progressed](const ExperimentProgress&) { progressed = true; });
-  const auto resumed = run_experiment(ds, formats, cfg, resume);
-  EXPECT_FALSE(progressed);  // failures were replayed, not recomputed
+  auto mem = std::make_shared<api::MemorySink>();
+  const auto resumed =
+      engine_sweep(ds, cfg).threads(2).checkpoint(ck).resume().sink(mem).run().results;
+  EXPECT_EQ(announced_total(*mem), 0u);  // failures were replayed, not recomputed
   EXPECT_EQ(csv_of(results, "reffail_a"), csv_of(resumed, "reffail_b"));
   std::remove(ck.c_str());
 }
@@ -284,14 +265,10 @@ TEST(ExperimentEngine, FaultRunsJournaledAndReplayedOnResume) {
   std::remove(ck.c_str());
 
   failpoint::arm_from_spec("engine.format_run=error(eio)");
-  SweepStats stats;
-  ScheduleOptions sched;
-  sched.threads = 2;
-  sched.checkpoint_path = ck;
-  sched.stats = &stats;
-  const auto results = run_experiment(ds, formats, cfg, sched);
+  const api::SweepResult faulted = engine_sweep(ds, cfg).threads(2).checkpoint(ck).run();
   failpoint::disarm_all();
-  EXPECT_EQ(stats.solve_faults, ds.size() * formats.size());
+  const auto& results = faulted.results;
+  EXPECT_EQ(faulted.stats.solve_faults, ds.size() * formats.size());
   for (const auto& r : results)
     for (const auto& run : r.runs) EXPECT_EQ(run.outcome, RunOutcome::fault);
 
@@ -299,16 +276,12 @@ TEST(ExperimentEngine, FaultRunsJournaledAndReplayedOnResume) {
   ASSERT_EQ(jc.runs.size(), ds.size() * formats.size());
   for (const auto& [key, jr] : jc.runs) EXPECT_EQ(jr.run.outcome, RunOutcome::fault);
 
-  SweepStats resume_stats;
-  ScheduleOptions resume = sched;
-  resume.resume = true;
-  resume.stats = &resume_stats;
-  bool progressed = false;
-  observe_progress(resume, [&progressed](const ExperimentProgress&) { progressed = true; });
-  const auto resumed = run_experiment(ds, formats, cfg, resume);
-  EXPECT_FALSE(progressed);  // everything replayed, nothing re-solved
-  EXPECT_EQ(resume_stats.journal_replayed_runs, ds.size() * formats.size());
-  EXPECT_EQ(csv_of(results, "fault_a"), csv_of(resumed, "fault_b"));
+  auto mem = std::make_shared<api::MemorySink>();
+  const api::SweepResult resumed =
+      engine_sweep(ds, cfg).threads(2).checkpoint(ck).resume().sink(mem).run();
+  EXPECT_EQ(announced_total(*mem), 0u);  // everything replayed, nothing re-solved
+  EXPECT_EQ(resumed.stats.journal_replayed_runs, ds.size() * formats.size());
+  EXPECT_EQ(csv_of(results, "fault_a"), csv_of(resumed.results, "fault_b"));
   std::remove(ck.c_str());
 }
 
@@ -322,20 +295,15 @@ TEST(ExperimentEngine, ResumeRecomputesMatrixWhoseContentsChanged) {
   const std::string ck = "test_out/engine_stale.jsonl";
   std::remove(ck.c_str());
 
-  ScheduleOptions sched;
-  sched.threads = 2;
-  sched.checkpoint_path = ck;
-  (void)run_experiment(ds, formats, cfg, sched);
+  (void)engine_sweep(ds, cfg).threads(2).checkpoint(ck).run();
 
   Rng rng(3100);
   ds[0] = make_test_matrix(ds[0].name, ds[0].klass, ds[0].category,
                            graph_laplacian_pipeline(erdos_renyi(40, 0.18, rng)));
-  ScheduleOptions resume = sched;
-  resume.resume = true;
-  std::size_t total = 0;
-  observe_progress(resume, [&total](const ExperimentProgress& p) { total = p.total; });
-  const auto resumed = run_experiment(ds, formats, cfg, resume);
-  EXPECT_EQ(total, formats.size());  // only the changed matrix was rerun
+  auto mem = std::make_shared<api::MemorySink>();
+  const auto resumed =
+      engine_sweep(ds, cfg).threads(2).checkpoint(ck).resume().sink(mem).run().results;
+  EXPECT_EQ(announced_total(*mem), formats.size());  // only the changed matrix was rerun
   EXPECT_EQ(resumed[0].n, ds[0].n());
   std::remove(ck.c_str());
 }
@@ -343,11 +311,9 @@ TEST(ExperimentEngine, ResumeRecomputesMatrixWhoseContentsChanged) {
 TEST(ExperimentEngine, CheckpointRequiresUniqueMatrixNames) {
   auto ds = engine_dataset();
   ds.push_back(ds.front());  // duplicate name
-  ScheduleOptions sched;
-  sched.checkpoint_path = "test_out/engine_dup.jsonl";
-  EXPECT_THROW((void)run_experiment(ds, engine_formats(), engine_config(), sched),
-               std::runtime_error);
-  std::remove(sched.checkpoint_path.c_str());
+  const std::string ck = "test_out/engine_dup.jsonl";
+  EXPECT_THROW((void)engine_sweep(ds, engine_config()).checkpoint(ck).run(), std::runtime_error);
+  std::remove(ck.c_str());
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include <string_view>
 #include <vector>
 
+#include "api/sweep.hpp"
 #include "core/experiment.hpp"
 #include "core/results_io.hpp"
 #include "graph/generators.hpp"
@@ -471,7 +472,7 @@ TEST(KernelAccel, ExperimentCsvByteIdenticalLutOnOff) {
 
   const auto run_to_csv = [&](bool lut_on, const std::string& tag) {
     LutGuard lut(lut_on);
-    const auto results = run_experiment(ds, formats, cfg, ScheduleOptions{});
+    const auto results = api::Sweep::over(ds).formats(formats).config(cfg).run().results;
     const std::string path = "test_out/kernel_accel_" + tag + ".csv";
     write_results_csv(path, results);
     std::string data = slurp(path);

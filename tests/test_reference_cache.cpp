@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "api/sweep.hpp"
 #include "core/experiment.hpp"
 #include "core/reference_cache.hpp"
 #include "core/results_io.hpp"
@@ -598,23 +599,17 @@ TEST_F(CacheDurabilityTest, SweepWithUnwritableCacheCompletesWithCorrectResults)
   const std::vector<FormatId> formats = {FormatId::float32, FormatId::takum16};
   const ExperimentConfig cfg = cache_config();
 
-  ScheduleOptions plain;
-  plain.threads = 2;
-  const std::string plain_csv = csv_of(run_experiment(ds, formats, cfg, plain), "deg_plain");
+  const auto sweep = [&] { return api::Sweep::over(ds).formats(formats).config(cfg).threads(2); };
+  const std::string plain_csv = csv_of(sweep().run().results, "deg_plain");
 
   failpoint::arm_from_spec("refcache.open=error(eacces)");
   ReferenceCache cache("test_out/refcache_deg_" + std::to_string(::getpid()));
   failpoint::disarm_all();
   ASSERT_TRUE(cache.degraded());
-  SweepStats stats;
-  ScheduleOptions sched;
-  sched.threads = 2;
-  sched.ref_cache = &cache;
-  sched.stats = &stats;
-  const std::string degraded_csv =
-      csv_of(run_experiment(ds, formats, cfg, sched), "deg_swept");
-  EXPECT_EQ(plain_csv, degraded_csv);
-  EXPECT_EQ(stats.reference_solves, ds.size()) << "degraded cache recomputes every reference";
+  const api::SweepResult degraded = sweep().cache(&cache).run();
+  EXPECT_EQ(plain_csv, csv_of(degraded.results, "deg_swept"));
+  EXPECT_EQ(degraded.stats.reference_solves, ds.size())
+      << "degraded cache recomputes every reference";
   EXPECT_EQ(cache.stats().stores, 0u);
   EXPECT_TRUE(cache.stats().degraded);
 }
@@ -630,29 +625,23 @@ TEST(ReferenceCacheEngine, WarmSweepSkipsAllReferenceSolvesAndMatchesColdByteFor
   const ExperimentConfig cfg = cache_config();
 
   ReferenceCache cache(dir.path);
-  SweepStats cold_stats, warm_stats;
-  ScheduleOptions cold;
-  cold.threads = 2;
-  cold.ref_cache = &cache;
-  cold.stats = &cold_stats;
-  const std::string cold_csv = csv_of(run_experiment(ds, formats, cfg, cold), "cold");
-  EXPECT_EQ(cold_stats.reference_solves, ds.size());
-  EXPECT_EQ(cold_stats.reference_cache_hits, 0u);
+  const auto sweep = [&] { return api::Sweep::over(ds).formats(formats).config(cfg).threads(2); };
+  const api::SweepResult cold = sweep().cache(&cache).run();
+  const std::string cold_csv = csv_of(cold.results, "cold");
+  EXPECT_EQ(cold.stats.reference_solves, ds.size());
+  EXPECT_EQ(cold.stats.reference_cache_hits, 0u);
   EXPECT_EQ(cache.stats().stores, ds.size());
 
-  ScheduleOptions warm = cold;
-  warm.stats = &warm_stats;
-  const std::string warm_csv = csv_of(run_experiment(ds, formats, cfg, warm), "warm");
+  const api::SweepResult warm = sweep().cache(&cache).run();
+  const std::string warm_csv = csv_of(warm.results, "warm");
   // The acceptance bar: a warm sweep executes zero float128 solves...
-  EXPECT_EQ(warm_stats.reference_solves, 0u);
-  EXPECT_EQ(warm_stats.reference_cache_hits, ds.size());
+  EXPECT_EQ(warm.stats.reference_solves, 0u);
+  EXPECT_EQ(warm.stats.reference_cache_hits, ds.size());
   // ...and its CSV is byte-identical to the cold run's.
   EXPECT_EQ(cold_csv, warm_csv);
 
   // Uncached control: the cache changed nothing numerically.
-  ScheduleOptions plain;
-  plain.threads = 2;
-  EXPECT_EQ(cold_csv, csv_of(run_experiment(ds, formats, cfg, plain), "plain"));
+  EXPECT_EQ(cold_csv, csv_of(sweep().run().results, "plain"));
 }
 
 TEST(ReferenceCacheEngine, JournaledCompleteMatrixNeverTouchesTheCache) {
@@ -663,10 +652,10 @@ TEST(ReferenceCacheEngine, JournaledCompleteMatrixNeverTouchesTheCache) {
   const std::string ck = "test_out/refcache_resume.jsonl";
   std::remove(ck.c_str());
 
-  ScheduleOptions first;
-  first.threads = 2;
-  first.checkpoint_path = ck;
-  const auto results = run_experiment(ds, formats, cfg, first);
+  const auto sweep = [&] {
+    return api::Sweep::over(ds).formats(formats).config(cfg).threads(2).checkpoint(ck);
+  };
+  const auto results = sweep().run().results;
   for (const auto& r : results) ASSERT_TRUE(r.reference_ok);
 
   // Resume with every run journaled: matrices retire before their
@@ -674,10 +663,7 @@ TEST(ReferenceCacheEngine, JournaledCompleteMatrixNeverTouchesTheCache) {
   // (satellite: "a journaled-complete matrix must not even open the cache
   // file").
   ReferenceCache cache(dir.path);
-  ScheduleOptions resume = first;
-  resume.resume = true;
-  resume.ref_cache = &cache;
-  const auto resumed = run_experiment(ds, formats, cfg, resume);
+  const auto resumed = sweep().resume().cache(&cache).run().results;
   EXPECT_EQ(csv_of(results, "j_first"), csv_of(resumed, "j_resumed"));
   EXPECT_EQ(cache.stats().lookups, 0u);
   EXPECT_EQ(cache.stats().stores, 0u);
@@ -696,11 +682,11 @@ TEST(ReferenceCacheEngine, ResumePlusCacheComputesOnlyMissingWork) {
   // run line (simulated crash): the resume needs references again, which
   // now all come from the cache.
   ReferenceCache cache(dir.path);
-  ScheduleOptions cold;
-  cold.threads = 2;
-  cold.checkpoint_path = ck;
-  cold.ref_cache = &cache;
-  const std::string full_csv = csv_of(run_experiment(ds, formats, cfg, cold), "p_full");
+  const auto sweep = [&] {
+    return api::Sweep::over(ds).formats(formats).config(cfg).threads(2).checkpoint(ck).cache(
+        &cache);
+  };
+  const std::string full_csv = csv_of(sweep().run().results, "p_full");
 
   std::string meta_and_one;
   {
@@ -714,14 +700,10 @@ TEST(ReferenceCacheEngine, ResumePlusCacheComputesOnlyMissingWork) {
     out << meta_and_one;
   }
 
-  SweepStats stats;
-  ScheduleOptions resume = cold;
-  resume.resume = true;
-  resume.stats = &stats;
-  const std::string resumed_csv = csv_of(run_experiment(ds, formats, cfg, resume), "p_resumed");
-  EXPECT_EQ(full_csv, resumed_csv);
-  EXPECT_EQ(stats.reference_solves, 0u) << "warm resume must not re-solve references";
-  EXPECT_GT(stats.reference_cache_hits, 0u);
+  const api::SweepResult resumed = sweep().resume().run();
+  EXPECT_EQ(full_csv, csv_of(resumed.results, "p_resumed"));
+  EXPECT_EQ(resumed.stats.reference_solves, 0u) << "warm resume must not re-solve references";
+  EXPECT_GT(resumed.stats.reference_cache_hits, 0u);
   std::remove(ck.c_str());
 }
 
@@ -736,10 +718,8 @@ TEST(JournalDuration, RunDurationsAreJournaledAndReplayed) {
   const std::string ck = "test_out/duration_journal.jsonl";
   std::remove(ck.c_str());
 
-  ScheduleOptions sched;
-  sched.threads = 2;
-  sched.checkpoint_path = ck;
-  const auto results = run_experiment(ds, formats, cfg, sched);
+  const auto results =
+      api::Sweep::over(ds).formats(formats).config(cfg).threads(2).checkpoint(ck).run().results;
   for (const auto& mr : results)
     for (const auto& run : mr.runs) EXPECT_GT(run.duration_seconds, 0.0);
 

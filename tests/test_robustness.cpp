@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "api/sweep.hpp"
 #include "core/experiment.hpp"
 #include "core/lanczos.hpp"
 #include "graph/generators.hpp"
@@ -93,8 +94,11 @@ TEST(Robustness, Float16MatvecOverflowClassifiedOmega) {
   tm.matrix = a;
   ExperimentConfig cfg;
   cfg.max_restarts = 30;
-  const auto res =
-      run_experiment({tm}, {FormatId::float16, FormatId::takum16}, cfg, ScheduleOptions{}).front();
+  const auto res = api::Sweep::over({tm})
+                       .formats({FormatId::float16, FormatId::takum16})
+                       .config(cfg)
+                       .run()
+                       .results.front();
   ASSERT_TRUE(res.reference_ok) << res.reference_failure;
   EXPECT_EQ(res.runs[0].outcome, RunOutcome::no_convergence);  // fp16 overflow -> NaN
   // takum16 saturates instead of overflowing: it may converge or not, but
@@ -112,7 +116,8 @@ TEST(Robustness, TinyMatrixReferencePath) {
   tm.category = "stress";
   tm.matrix = a;
   ExperimentConfig cfg;  // nev 10 + buffer 2 > n
-  const auto res = run_experiment({tm}, {FormatId::float64}, cfg, ScheduleOptions{}).front();
+  const auto res =
+      api::Sweep::over({tm}).formats({FormatId::float64}).config(cfg).run().results.front();
   EXPECT_FALSE(res.reference_ok);
   EXPECT_FALSE(res.reference_failure.empty());
 }
