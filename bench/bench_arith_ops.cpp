@@ -2,12 +2,16 @@
 //
 // The paper deliberately excludes execution time from its evaluation (all
 // formats are software-emulated there too); this harness documents the
-// emulation costs of *this* library so users can size experiments.
+// emulation costs of *this* library so users can size experiments. The
+// OnGrid<T> rows are the double-resident arithmetic the solvers run the
+// 16- and 32-bit formats in (arith/on_grid.hpp), next to the exact-engine
+// rows of the same format.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
 #include "arith/format_registry.hpp"
+#include "arith/on_grid.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -98,13 +102,20 @@ void BM_FromDouble(benchmark::State& state) {
   BENCHMARK_TEMPLATE(BM_Sqrt, T);                 \
   BENCHMARK_TEMPLATE(BM_FromDouble, T)
 
+#define MFLA_BENCH_RESIDENT(T)                    \
+  MFLA_BENCH_FORMAT(T);                           \
+  BENCHMARK_TEMPLATE(BM_Add, OnGrid<T>);          \
+  BENCHMARK_TEMPLATE(BM_Mul, OnGrid<T>);          \
+  BENCHMARK_TEMPLATE(BM_Div, OnGrid<T>);          \
+  BENCHMARK_TEMPLATE(BM_Sqrt, OnGrid<T>)
+
 MFLA_BENCH_FORMAT(OFP8E4M3);
-MFLA_BENCH_FORMAT(Float16);
-MFLA_BENCH_FORMAT(BFloat16);
-MFLA_BENCH_FORMAT(Posit16);
-MFLA_BENCH_FORMAT(Takum16);
-MFLA_BENCH_FORMAT(Posit32);
-MFLA_BENCH_FORMAT(Takum32);
+MFLA_BENCH_RESIDENT(Float16);
+MFLA_BENCH_RESIDENT(BFloat16);
+MFLA_BENCH_RESIDENT(Posit16);
+MFLA_BENCH_RESIDENT(Takum16);
+MFLA_BENCH_RESIDENT(Posit32);
+MFLA_BENCH_RESIDENT(Takum32);
 MFLA_BENCH_FORMAT(Posit64);
 MFLA_BENCH_FORMAT(Takum64);
 MFLA_BENCH_FORMAT(float);

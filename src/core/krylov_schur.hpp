@@ -10,13 +10,22 @@
 // truncates. Works for general real matrices; for symmetric inputs the
 // Schur form is diagonal and the Schur vectors are the eigenvectors
 // (paper §2.2).
+//
+// float16, bfloat16 and the 16/32-bit posits and takums run resident in
+// binary64: partialschur<T> runs the same body over OnGrid<T>
+// (arith/on_grid.hpp), with the caller's T operator behind a ResidentOp,
+// and converts q and r back to T at the end. Every step is bit-identical
+// to the body over T itself (tests/test_on_grid.cpp).
 #pragma once
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "arith/on_grid.hpp"
 #include "core/arnoldi.hpp"
 #include "kernels/vector_ops.hpp"
 #include "dense/hessenberg.hpp"
@@ -98,12 +107,10 @@ struct KrylovStart {
   DenseMatrix<T> v;        // n x (maxdim+1)
 };
 
-/// Clamp opts' mindim/maxdim to an n x n operator and load the start
-/// vector (opts.start_vector when it has length n, else a draw from rng),
-/// normalized in T. Returns the failure message, empty on success.
-template <typename T>
-[[nodiscard]] std::string krylov_start(std::size_t n, const PartialSchurOptions& opts, Rng& rng,
-                                       KrylovStart<T>& st) {
+/// Clamp opts' mindim/maxdim to an n x n operator. Returns the failure
+/// message, empty on success.
+[[nodiscard]] inline std::string krylov_dims(std::size_t n, const PartialSchurOptions& opts,
+                                             std::size_t& mindim_out, std::size_t& maxdim_out) {
   const std::size_t nev = opts.nev;
   if (nev == 0 || n < 2) return "matrix too small";
   std::size_t mindim = opts.mindim != 0 ? opts.mindim : std::max<std::size_t>(10, nev);
@@ -115,8 +122,20 @@ template <typename T>
   // A restart that keeps no Ritz vector starts over and never converges.
   mindim = std::max<std::size_t>(mindim, 1);
   if (nev > maxdim) return "nev exceeds subspace dimension";
-  st.mindim = mindim;
-  st.maxdim = maxdim;
+  mindim_out = mindim;
+  maxdim_out = maxdim;
+  return {};
+}
+
+/// krylov_dims into st, then load the start vector (opts.start_vector when
+/// it has length n, else a draw from rng), normalized in T. Returns the
+/// failure message, empty on success.
+template <typename T>
+[[nodiscard]] std::string krylov_start(std::size_t n, const PartialSchurOptions& opts, Rng& rng,
+                                       KrylovStart<T>& st) {
+  if (std::string failure = krylov_dims(n, opts, st.mindim, st.maxdim); !failure.empty())
+    return failure;
+  const std::size_t maxdim = st.maxdim;
 
   // Start vector (unit, shared across formats when provided).
   st.v = DenseMatrix<T>(n, maxdim + 1);
@@ -136,10 +155,66 @@ template <typename T>
   return {};
 }
 
-}  // namespace detail
-
+/// The caller's operator on T seen from a solve resident in OnGrid<T>:
+/// matvec converts x to T (exact), applies the operator and reads y back
+/// (exact). Its scratch is sized once per solve, so matvec allocates
+/// nothing. The T copy of x mirrors the basis layout: x lands at the same
+/// column of an n x (maxdim+1) T matrix as it has in the solver's basis
+/// (the first call is column 0), so an operator that keys on the column
+/// it is handed (e2ebench's TimingOp) sees what it would see in T.
 template <typename T, class Op>
-PartialSchurResult<T> partialschur(const Op& a, const PartialSchurOptions& opts = {}) {
+class ResidentOp {
+ public:
+  ResidentOp(const Op& a, const PartialSchurOptions& opts) : a_(a) {
+    const std::size_t n = a.rows();
+    std::size_t mindim = 0, maxdim = 0;
+    const std::size_t cols = krylov_dims(n, opts, mindim, maxdim).empty() ? maxdim + 1 : 1;
+    x_ = DenseMatrix<T>(n, cols);
+    y_.resize(n);
+  }
+
+  [[nodiscard]] std::size_t rows() const noexcept { return a_.rows(); }
+
+  void matvec(const OnGrid<T>* x, OnGrid<T>* y) const {
+    const std::size_t n = x_.rows();
+    const auto addr = reinterpret_cast<std::uintptr_t>(x);
+    if (base_ == 0) base_ = addr;
+    std::size_t col = (addr - base_) / (n * sizeof(OnGrid<T>));  // wraps below base_
+    if (col >= x_.cols()) col = 0;
+    T* const xt = x_.col(col);
+    for (std::size_t i = 0; i < n; ++i) xt[i] = x[i].to_format();
+    a_.matvec(static_cast<const T*>(xt), y_.data());
+    for (std::size_t i = 0; i < n; ++i) y[i] = OnGrid<T>(y_[i]);
+  }
+
+ private:
+  const Op& a_;
+  mutable DenseMatrix<T> x_;
+  mutable std::vector<T> y_;
+  mutable std::uintptr_t base_ = 0;  // x of the first call: column 0
+};
+
+/// A resident solve's result in T (q and r convert exactly).
+template <typename T>
+[[nodiscard]] PartialSchurResult<T> to_format(PartialSchurResult<OnGrid<T>>&& r) {
+  PartialSchurResult<T> out;
+  out.converged = r.converged;
+  out.nconverged = r.nconverged;
+  out.restarts = r.restarts;
+  out.matvecs = r.matvecs;
+  out.failure = std::move(r.failure);
+  const auto convert = [](OnGrid<T> x) { return x.to_format(); };
+  out.q = r.q.template map<T>(convert);
+  out.r = r.r.template map<T>(convert);
+  out.eig_re = std::move(r.eig_re);
+  out.eig_im = std::move(r.eig_im);
+  return out;
+}
+
+/// The Krylov–Schur body over the working scalar T: the format itself, or
+/// OnGrid<format> for a resident solve (partialschur picks).
+template <typename T, class Op>
+PartialSchurResult<T> partialschur_core(const Op& a, const PartialSchurOptions& opts) {
   const std::size_t n = a.rows();
   PartialSchurResult<T> out;
 
@@ -263,6 +338,18 @@ PartialSchurResult<T> partialschur(const Op& a, const PartialSchurOptions& opts 
   }
   out.failure = "restart loop left unexpectedly";
   return out;
+}
+
+}  // namespace detail
+
+template <typename T, class Op>
+PartialSchurResult<T> partialschur(const Op& a, const PartialSchurOptions& opts = {}) {
+  if constexpr (kGridResident<T>) {
+    const detail::ResidentOp<T, Op> op(a, opts);
+    return detail::to_format(detail::partialschur_core<OnGrid<T>>(op, opts));
+  } else {
+    return detail::partialschur_core<T>(a, opts);
+  }
 }
 
 }  // namespace mfla

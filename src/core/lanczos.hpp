@@ -21,11 +21,12 @@
 
 namespace mfla {
 
-/// Symmetric partial eigendecomposition via thick-restart Lanczos.
-/// Options are shared with partialschur(); `which` must be a real ordering
-/// (largest/smallest magnitude or real — all eigenvalues are real here).
+namespace detail {
+
+/// The thick-restart Lanczos body over the working scalar T: the format
+/// itself, or OnGrid<format> for a resident solve (lanczos_eigs picks).
 template <typename T, class Op>
-PartialSchurResult<T> lanczos_eigs(const Op& a, const PartialSchurOptions& opts = {}) {
+PartialSchurResult<T> lanczos_core(const Op& a, const PartialSchurOptions& opts) {
   const std::size_t n = a.rows();
   PartialSchurResult<T> out;
   const std::size_t nev = opts.nev;
@@ -144,6 +145,22 @@ PartialSchurResult<T> lanczos_eigs(const Op& a, const PartialSchurOptions& opts 
   }
   out.failure = "restart loop left unexpectedly";
   return out;
+}
+
+}  // namespace detail
+
+/// Symmetric partial eigendecomposition via thick-restart Lanczos.
+/// Options are shared with partialschur(); `which` must be a real ordering
+/// (largest/smallest magnitude or real — all eigenvalues are real here).
+/// Runs resident in binary64 for the formats partialschur does.
+template <typename T, class Op>
+PartialSchurResult<T> lanczos_eigs(const Op& a, const PartialSchurOptions& opts = {}) {
+  if constexpr (kGridResident<T>) {
+    const detail::ResidentOp<T, Op> op(a, opts);
+    return detail::to_format(detail::lanczos_core<OnGrid<T>>(op, opts));
+  } else {
+    return detail::lanczos_core<T>(a, opts);
+  }
 }
 
 }  // namespace mfla

@@ -1,6 +1,8 @@
 // Allocation-free hot-loop tests: a global operator-new hook counts heap
 // allocations and asserts the steady-state Arnoldi inner loop performs
-// none, and golden digests pin partialschur's results bit-for-bit to the
+// none (in T, in the resident OnGrid<T>, and through the ResidentOp
+// adapter that applies T's operator for a resident solve), and golden
+// digests pin partialschur's results bit-for-bit to the
 // pre-workspace-refactor implementation across all <=16-bit formats and
 // to recorded digests for the 32/64-bit posit and takum formats.
 #include <gtest/gtest.h>
@@ -70,12 +72,14 @@ std::vector<double> golden_start(std::size_t n) {
 // Zero steady-state allocations per arnoldi_step
 // ---------------------------------------------------------------------------
 
-template <typename T>
-void expect_allocation_free_steps() {
-  const CsrMatrix<double> ad = workspace_matrix();
-  const CsrMatrix<T> a = ad.convert<T>();
+constexpr std::size_t kStepsMaxdim = 16;
+
+/// Two full expansions of an n x kStepsMaxdim basis over `a`; the second
+/// must not allocate.
+template <typename T, class Op>
+void expect_allocation_free_steps(const Op& a) {
   const std::size_t n = a.rows();
-  const std::size_t maxdim = 16;
+  const std::size_t maxdim = kStepsMaxdim;
 
   DenseMatrix<T> v(n, maxdim + 1);
   DenseMatrix<T> s(maxdim + 1, maxdim);
@@ -107,6 +111,22 @@ void expect_allocation_free_steps() {
   EXPECT_EQ(after - before, 0u) << "arnoldi_step allocated on its steady-state path";
 }
 
+template <typename T>
+void expect_allocation_free_steps() {
+  expect_allocation_free_steps<T>(workspace_matrix().convert<T>());
+}
+
+/// The resident solve's view of a T operator: the adapter's scratch is
+/// sized at construction, so expanding through it allocates nothing either.
+template <typename T>
+void expect_allocation_free_resident_steps() {
+  const CsrMatrix<T> a = workspace_matrix().convert<T>();
+  PartialSchurOptions opts;
+  opts.maxdim = kStepsMaxdim;
+  const detail::ResidentOp<T, CsrMatrix<T>> op(a, opts);
+  expect_allocation_free_steps<OnGrid<T>>(op);
+}
+
 TEST(ArnoldiWorkspace, StepsAreAllocationFreeDouble) {
   expect_allocation_free_steps<double>();
 }
@@ -121,6 +141,15 @@ TEST(ArnoldiWorkspace, StepsAreAllocationFreeE4M3) {
 
 TEST(ArnoldiWorkspace, StepsAreAllocationFreeTakum16) {
   expect_allocation_free_steps<Takum16>();
+}
+
+TEST(ArnoldiWorkspace, StepsAreAllocationFreeOnGridPosit32) {
+  expect_allocation_free_steps<OnGrid<Posit32>>();
+}
+
+TEST(ArnoldiWorkspace, StepsThroughResidentOpAreAllocationFree) {
+  expect_allocation_free_resident_steps<BFloat16>();
+  expect_allocation_free_resident_steps<Posit32>();
 }
 
 // The operator-new hook itself must be live, or the zero-count assertions
