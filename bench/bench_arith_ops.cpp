@@ -3,9 +3,9 @@
 // The paper deliberately excludes execution time from its evaluation (all
 // formats are software-emulated there too); this harness documents the
 // emulation costs of *this* library so users can size experiments. The
-// OnGrid<T> rows are the double-resident arithmetic the solvers run the
-// 16- and 32-bit formats in (arith/on_grid.hpp), next to the exact-engine
-// rows of the same format.
+// OnGrid<T> rows are the resident arithmetic the solvers run the 16- to
+// 64-bit formats in (arith/on_grid.hpp), next to the exact-engine rows of
+// the same format.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -116,8 +116,8 @@ MFLA_BENCH_RESIDENT(Posit16);
 MFLA_BENCH_RESIDENT(Takum16);
 MFLA_BENCH_RESIDENT(Posit32);
 MFLA_BENCH_RESIDENT(Takum32);
-MFLA_BENCH_FORMAT(Posit64);
-MFLA_BENCH_FORMAT(Takum64);
+MFLA_BENCH_RESIDENT(Posit64);
+MFLA_BENCH_RESIDENT(Takum64);
 MFLA_BENCH_FORMAT(float);
 MFLA_BENCH_FORMAT(double);
 MFLA_BENCH_FORMAT(Quad);

@@ -1,35 +1,44 @@
-// Double-resident arithmetic for the emulated formats whose values are all
-// exact doubles.
+// Resident arithmetic for the emulated formats of 16 to 64 bits.
 //
-// OnGrid<T> holds a binary64 value that always lies on T's grid (the set of
-// values T can represent). Every operation is one hardware operation plus
-// one rounding back onto the grid, so no operand is decoded and no result
-// is encoded: the bits of T exist only at the boundary (to_format and the
-// OnGrid(T) constructor, both exact). Results equal T's own operations bit
-// for bit:
+// OnGrid<T> holds a value that always lies on T's grid (the set of values T
+// can represent) in a form the host computes with directly, so no operand
+// is decoded and no result is encoded: the bits of T exist only at the
+// boundary (to_format and the OnGrid(T) constructor, both exact). Results
+// equal T's own operations bit for bit:
 //
-//  * Rounding onto the grid. SoftFloat (float16, bfloat16): round to
-//    nearest even on the double's bits. Tapered (posit, takum; 16 <= N <=
-//    32): a constexpr table maps the double's exponent to its binade's
-//    quantum, and one hardware addition rounds to it. Binades where the
-//    posit exponent field is truncated (ties go to the even *encoding*,
-//    not the even fraction), the saturation regions and non-finite values
-//    take the exact engine.
-//  * Short grids (every value has p <= 25 significant bits, so 2p + 2 <=
-//    53: float16, bfloat16, posit16, takum16): the double operation rounded
-//    once onto the grid is correctly rounded, as SoftFloat itself relies on.
-//  * Wide grids (posit32, takum32: p = 28): hi = fl(a op b) and the sign of
-//    its exact error (Fast2Sum for +/-, fma for *, the fma residual for /
-//    and sqrt) give the round-to-odd double (Boldo & Melquiond, IEEE TC
-//    2008), which is then rounded onto the grid. Round-to-odd is exact here
-//    because every grid point and every tie between neighbours needs at
-//    most 29 significant bits, and no sum, product or quotient of two grid
-//    values leaves the normal double range.
+//  * Double-resident grids (16 and 32 bits): every value is a binary64.
+//    Each operation is one hardware operation plus one rounding onto the
+//    grid.
+//    - Rounding onto the grid. SoftFloat (float16, bfloat16): round to
+//      nearest even on the double's bits. Tapered (posit, takum): a
+//      constexpr table maps the double's exponent to its binade's quantum,
+//      and one hardware addition rounds to it. Binades where the posit
+//      exponent field is truncated (ties go to the even *encoding*, not the
+//      even fraction), the saturation regions and non-finite values take
+//      the exact engine.
+//    - Short grids (every value has p <= 25 significant bits, so
+//      2p + 2 <= 53: float16, bfloat16, posit16, takum16): the double
+//      operation rounded once onto the grid is correctly rounded, as
+//      SoftFloat itself relies on.
+//    - Wide grids (posit32, takum32: p = 28): hi = fl(a op b) and the sign
+//      of its exact error (Fast2Sum for +/-, fma for *, the fma residual
+//      for / and sqrt) give the round-to-odd double (Boldo & Melquiond,
+//      IEEE TC 2008), which is then rounded onto the grid. Round-to-odd is
+//      exact here because every grid point and every tie between
+//      neighbours needs at most 29 significant bits, and no sum, product or
+//      quotient of two grid values leaves the normal double range.
+//  * Unpacked-resident grids (posit64, takum64): the value is the decoded
+//    (sign, exponent, 64-bit significand) with zero/NaR flags. + and - run
+//    in one 64-bit word (grid values have <= 60 significant bits); *, / and
+//    sqrt use the exact engine's cores. The exact result is rounded once in
+//    the unpacked domain with the same per-binade table, to nearest even on
+//    the significand; the binades the table leaves out take the exact
+//    engine.
 //
-// Semantics follow T: tapered NaR is held as a NaN but equals itself and
-// sorts below every number; tapered zero is always +0.0. SoftFloat keeps
-// IEEE +-0, +-inf and NaN. The error-free transforms must not be contracted
-// into FMAs; the build passes -ffp-contract=off (CMakeLists.txt).
+// Semantics follow T: tapered NaR equals itself and sorts below every
+// number; tapered zero has no sign. SoftFloat keeps IEEE +-0, +-inf and
+// NaN. The error-free transforms must not be contracted into FMAs; the
+// build passes -ffp-contract=off (CMakeLists.txt).
 //
 // docs/FORMATS.md ("Resident arithmetic") has the argument in full;
 // tests/test_on_grid.cpp checks it against the exact engines.
@@ -68,11 +77,51 @@ namespace detail {
   return static_cast<std::int64_t>(x > 0.0) - static_cast<std::int64_t>(x < 0.0);
 }
 
+/// What the grids held as a binary64 share: the boundary conversions and
+/// the predicates. Tapered NaR is held as a NaN that equals itself and
+/// sorts below every number; tapered zero is always +0.0.
+template <class F, bool Tapered>
+struct DoubleValued {
+  using Format = F;
+  using Value = double;
+
+  [[nodiscard]] static double from_format(Format x) noexcept { return x.to_double(); }
+  /// Exact: every value on the grid is one of Format's.
+  [[nodiscard]] static Format to_format(double v) noexcept { return Format::from_double(v); }
+  [[nodiscard]] static double to_double(double v) noexcept {
+    return v == v ? v : std::numeric_limits<double>::quiet_NaN();
+  }
+
+  [[nodiscard]] static double neg(double a) noexcept {
+    if constexpr (Tapered) return 0.0 - a;  // keeps the one zero +0.0
+    return -a;
+  }
+  [[nodiscard]] static double abs(double a) noexcept { return std::fabs(a); }
+
+  // SoftFloat: IEEE comparisons. Tapered: the total order of the signed
+  // encoding, where NaR equals itself and is below every number.
+  [[nodiscard]] static bool eq(double a, double b) noexcept {
+    if constexpr (Tapered) return a == b || (a != a && b != b);
+    return a == b;
+  }
+  [[nodiscard]] static bool lt(double a, double b) noexcept {
+    if constexpr (Tapered) return a < b || (a != a && b == b);
+    return a < b;
+  }
+  [[nodiscard]] static bool le(double a, double b) noexcept {
+    if constexpr (Tapered) return !lt(b, a);
+    return a <= b;
+  }
+  [[nodiscard]] static bool is_number(double a) noexcept {
+    if constexpr (Tapered) return a == a;
+    return std::isfinite(a);
+  }
+};
+
 /// The IEEE-style grids: SoftFloat<E, M, Flavor::ieee>.
 template <int E, int M>
-struct SoftFloatGrid {
+struct SoftFloatGrid : DoubleValued<SoftFloat<E, M, Flavor::ieee>, false> {
   using Format = SoftFloat<E, M, Flavor::ieee>;
-  static constexpr bool kTapered = false;
 
   static constexpr std::uint64_t kMinNormal = std::bit_cast<std::uint64_t>(pow2(Format::kEmin));
   static constexpr std::uint64_t kOverflow = std::bit_cast<std::uint64_t>(pow2(Format::kEmax + 1));
@@ -135,23 +184,27 @@ template <int N>
   return fb > 0 ? fb : 0;
 }
 
+/// Fraction bits of binade e of Codec's grid, or 0 for the exact engine.
+template <class Codec>
+[[nodiscard]] constexpr int codec_fraction_bits(int e) noexcept {
+  if constexpr (requires { Codec::es; }) {
+    return posit_fraction_bits<Codec::nbits, Codec::es>(e);
+  } else {
+    return takum_fraction_bits<Codec::nbits>(e);
+  }
+}
+
 /// The tapered grids (posit, takum) of width 16 <= N <= 32.
 template <class Codec>
-struct TaperedGrid {
+struct TaperedGrid : DoubleValued<TaperedFloat<Codec>, true> {
   using Format = TaperedFloat<Codec>;
   static_assert(Codec::nbits >= 16 && Codec::nbits <= 32,
-                "wider grids do not fit in binary64; the 8-bit ones keep their tables");
-  static constexpr bool kTapered = true;
+                "the 64-bit grids are unpacked-resident; the 8-bit ones keep their tables");
 
   /// Fraction bits of the binade with biased double exponent be, or 0 for
   /// the exact engine.
   [[nodiscard]] static constexpr int fraction_bits(int be) noexcept {
-    const int e = be - 1023;
-    if constexpr (requires { Codec::es; }) {
-      return posit_fraction_bits<Codec::nbits, Codec::es>(e);
-    } else {
-      return takum_fraction_bits<Codec::nbits>(e);
-    }
+    return codec_fraction_bits<Codec>(be - 1023);
   }
 
   /// Per biased double exponent, C = 2^52 * the binade's quantum
@@ -240,6 +293,167 @@ struct TaperedGrid {
   }
 };
 
+/// A value of a 64-bit tapered grid, decoded: (-1)^neg * m * 2^(e - 63)
+/// with m in [2^63, 2^64). Zero is all fields 0 and NaR is m = 0 with nar
+/// set, so m == 0 singles out both.
+struct UnpackedValue {
+  std::uint64_t m = 0;
+  std::int32_t e = 0;
+  bool neg = false;
+  bool nar = false;
+};
+
+/// The 64-bit tapered grids (posit64, takum64). Operations compute the
+/// exact result as (neg, e, m, guard, sticky) and round it once onto the
+/// grid in the unpacked domain.
+template <class Codec>
+struct UnpackedGrid {
+  using Format = TaperedFloat<Codec>;
+  using Value = UnpackedValue;
+  static constexpr Value kNaR{0, 0, false, true};
+
+  /// Fraction bits per binade e in [-512, 512), which holds every exponent
+  /// of a product or quotient of two grid values.
+  static constexpr std::array<std::int8_t, 1024> kFractionBits = [] {
+    std::array<std::int8_t, 1024> t{};
+    for (int e = -512; e < 512; ++e)
+      t[static_cast<std::size_t>(e + 512)] = static_cast<std::int8_t>(codec_fraction_bits<Codec>(e));
+    return t;
+  }();
+  [[nodiscard]] static int fraction_bits(int e) noexcept {
+    const auto i = static_cast<unsigned>(e + 512);
+    return i < kFractionBits.size() ? kFractionBits[i] : 0;
+  }
+
+  /// Significant bits of the grid's densest binades (around 1).
+  static constexpr int kSignificantBits = [] {
+    int m = 0;
+    for (const std::int8_t fb : kFractionBits) m = fb > m ? fb : m;
+    return m + 1;
+  }();
+  // add() keeps one headroom bit for the carry and needs three zero bits
+  // below every operand's significand.
+  static_assert(kSignificantBits <= 60, "a sum of two grid values must fit in one word");
+
+  /// Rounds an exact result onto the grid as Format::from_exact does. In a
+  /// binade with fb >= 1 the encodings are consecutive integers of linearly
+  /// spaced values, so nearest-even on the encoding is nearest-even on the
+  /// significand's fb fraction bits. A carry out of the significand lands
+  /// on 2^(e+1), the first point of the next binade.
+  [[nodiscard]] static Value round(const ExactResult& r) noexcept {
+    const int fb = fraction_bits(r.e);
+    if (fb <= 0) [[unlikely]] return round_exact(r);
+    const std::uint64_t ulp = std::uint64_t{1} << (63 - fb);
+    const std::uint64_t low = r.m & (ulp - 1);
+    std::uint64_t m = r.m - low;
+    const std::uint64_t half = ulp >> 1;
+    const bool up = low > half || (low == half && (r.guard || r.sticky || (m & ulp) != 0));
+    m += up ? ulp : 0;
+    if (m == 0) [[unlikely]] return {std::uint64_t{1} << 63, r.e + 1, r.neg, false};
+    return {m, r.e, r.neg, false};
+  }
+
+  /// Format::from_double(x) without the encoding.
+  [[nodiscard]] static Value round(double x) noexcept {
+    if (x == 0.0) return {};
+    const DoubleParts p = decompose_double(x);
+    if (p.nan || p.inf) return kNaR;
+    return round(ExactResult{p.neg, p.e + 52, p.sig << 11, false, false});
+  }
+
+  [[nodiscard]] static Value from_format(Format x) noexcept {
+    if (x.is_nar()) return kNaR;
+    if (x.is_zero()) return {};
+    const Unpacked u = x.unpack();
+    return {u.m, u.e, u.neg, false};
+  }
+  /// Exact: the value is on the grid.
+  [[nodiscard]] static Format to_format(Value v) noexcept {
+    if (v.m == 0) return v.nar ? Format::nar() : Format::zero();
+    return Format::from_exact(ExactResult{v.neg, v.e, v.m, false, false});
+  }
+  /// Format's to_double of the same value.
+  [[nodiscard]] static double to_double(Value v) noexcept {
+    if (v.m == 0) return v.nar ? std::numeric_limits<double>::quiet_NaN() : 0.0;
+    return compose_double(v.neg, v.m, v.e - 63);
+  }
+
+  /// The sum in one 64-bit word. Both significands move down one bit (a
+  /// headroom bit for the carry), the smaller one by the exponent gap more
+  /// with the bits shifted out jammed into its last bit. Every grid value
+  /// has <= 60 significant bits, so the larger operand ends in three zero
+  /// bits, and wherever bits were lost (gap >= 2) the result keeps its top
+  /// bit at 61 or above: the jammed bit lies below the guard bit of any
+  /// rounding to <= 59 fraction bits and stands in for the lost tail.
+  [[nodiscard]] static Value add(Value a, Value b) noexcept {
+    if ((a.m == 0) | (b.m == 0)) [[unlikely]] {
+      if (a.nar | b.nar) return kNaR;
+      return a.m == 0 ? b : a;
+    }
+    // Selects rather than a swap: which operand is larger is a coin flip.
+    const bool a_big = a.e > b.e || (a.e == b.e && a.m >= b.m);
+    const int e = a_big ? a.e : b.e;
+    const int gap = a_big ? a.e - b.e : b.e - a.e;
+    const std::uint64_t x = (a_big ? a.m : b.m) >> 1;
+    std::uint64_t y = (a_big ? b.m : a.m) >> 1;
+    // y < 2^63, so a shift by 63 moves all of it into the jammed bit.
+    const int shift = gap < 63 ? gap : 63;
+    y = (y >> shift) | static_cast<std::uint64_t>((y & ((std::uint64_t{1} << shift) - 1)) != 0);
+    const std::uint64_t r = a.neg == b.neg ? x + y : x - y;
+    if (r == 0) return {};
+    const int top = 63 - std::countl_zero(r);
+    return round(ExactResult{a_big ? a.neg : b.neg, e + top - 62, r << (63 - top), false, false});
+  }
+  [[nodiscard]] static Value sub(Value a, Value b) noexcept { return add(a, neg(b)); }
+  [[nodiscard]] static Value mul(Value a, Value b) noexcept {
+    if ((a.m == 0) | (b.m == 0)) [[unlikely]] return (a.nar | b.nar) ? kNaR : Value{};
+    return round(mul_exact(unpacked(a), unpacked(b)));
+  }
+  [[nodiscard]] static Value div(Value a, Value b) noexcept {
+    if ((a.m == 0) | (b.m == 0)) [[unlikely]] return (a.nar | (b.m == 0)) ? kNaR : Value{};
+    return round(div_exact(unpacked(a), unpacked(b)));
+  }
+  [[nodiscard]] static Value sqrt(Value a) noexcept {
+    if (a.m == 0) [[unlikely]] return a;
+    if (a.neg) return kNaR;
+    return round(sqrt_exact(unpacked(a)));
+  }
+
+  [[nodiscard]] static Value neg(Value a) noexcept {
+    a.neg = a.neg != (a.m != 0);  // zero and NaR have no sign
+    return a;
+  }
+  [[nodiscard]] static Value abs(Value a) noexcept {
+    a.neg = false;
+    return a;
+  }
+
+  // The total order of the signed encoding: NaR equals itself and is below
+  // every number.
+  [[nodiscard]] static bool eq(Value a, Value b) noexcept {
+    return a.m == b.m && a.e == b.e && a.neg == b.neg && a.nar == b.nar;
+  }
+  [[nodiscard]] static bool lt(Value a, Value b) noexcept { return key(a) < key(b); }
+  [[nodiscard]] static bool le(Value a, Value b) noexcept { return key(a) <= key(b); }
+  [[nodiscard]] static bool is_number(Value a) noexcept { return !a.nar; }
+
+ private:
+  [[nodiscard]] static Unpacked unpacked(Value v) noexcept { return {v.neg, v.e, v.m}; }
+
+  /// A signed key in the order of the values (grid exponents are > -1024).
+  [[nodiscard]] static i128 key(Value v) noexcept {
+    if (v.nar) return -static_cast<i128>(~u128{0} >> 1) - 1;
+    if (v.m == 0) return 0;
+    const auto mag = static_cast<i128>((static_cast<u128>(v.e + 1024) << 64) | v.m);
+    return v.neg ? -mag : mag;
+  }
+
+  /// The exact engine: the binades fraction_bits leaves out and saturation.
+  [[gnu::noinline, gnu::cold]] static Value round_exact(const ExactResult& r) noexcept {
+    return from_format(Format::from_exact(r));
+  }
+};
+
 template <typename T>
 struct GridFor;  // formats without a resident grid have none
 template <int E, int M>
@@ -251,11 +465,17 @@ template <class Codec>
 struct GridFor<TaperedFloat<Codec>> {
   using type = TaperedGrid<Codec>;
 };
+template <class Codec>
+  requires(Codec::nbits == 64)
+struct GridFor<TaperedFloat<Codec>> {
+  using type = UnpackedGrid<Codec>;
+};
 
 }  // namespace detail
 
-/// The formats the solvers run resident in binary64. The 8-bit formats keep
-/// their whole-operation lookup tables; posit64/takum64 do not fit.
+/// The formats the solvers run resident: in binary64 up to 32 bits,
+/// unpacked at 64. The 8-bit formats keep their whole-operation lookup
+/// tables.
 template <typename T>
 inline constexpr bool kGridResident = false;
 template <>
@@ -270,8 +490,12 @@ template <>
 inline constexpr bool kGridResident<Posit32> = true;
 template <>
 inline constexpr bool kGridResident<Takum32> = true;
+template <>
+inline constexpr bool kGridResident<Posit64> = true;
+template <>
+inline constexpr bool kGridResident<Takum64> = true;
 
-/// A value of format T held as the binary64 it equals.
+/// A value of format T held on T's grid in the grid's resident form.
 template <typename T>
 class OnGrid {
   using Grid = typename detail::GridFor<T>::type;
@@ -281,26 +505,20 @@ class OnGrid {
   /// Rounds d onto the grid exactly as T's own conversion does.
   OnGrid(double d) noexcept : v_(Grid::round(d)) {}
   OnGrid(int i) noexcept : OnGrid(static_cast<double>(i)) {}
-  /// Exact: every value of T is a double on the grid.
-  explicit OnGrid(T x) noexcept : v_(x.to_double()) {}
+  /// Exact: every value of T lies on the grid.
+  explicit OnGrid(T x) noexcept : v_(Grid::from_format(x)) {}
 
   /// The value back in T's encoding (exact).
-  [[nodiscard]] T to_format() const noexcept { return T::from_double(v_); }
-  /// The value as a double; NaN (and NaR) as the quiet NaN T returns.
-  [[nodiscard]] double to_double() const noexcept {
-    return v_ == v_ ? v_ : std::numeric_limits<double>::quiet_NaN();
-  }
+  [[nodiscard]] T to_format() const noexcept { return Grid::to_format(v_); }
+  /// The value as T's to_double gives it; NaN (and NaR) as a quiet NaN.
+  [[nodiscard]] double to_double() const noexcept { return Grid::to_double(v_); }
   explicit operator double() const noexcept { return to_double(); }
 
   friend OnGrid operator+(OnGrid a, OnGrid b) noexcept { return raw(Grid::add(a.v_, b.v_)); }
   friend OnGrid operator-(OnGrid a, OnGrid b) noexcept { return raw(Grid::sub(a.v_, b.v_)); }
   friend OnGrid operator*(OnGrid a, OnGrid b) noexcept { return raw(Grid::mul(a.v_, b.v_)); }
   friend OnGrid operator/(OnGrid a, OnGrid b) noexcept { return raw(Grid::div(a.v_, b.v_)); }
-  friend OnGrid operator-(OnGrid a) noexcept {
-    // Tapered formats have one zero: 0.0 - x keeps it +0.0.
-    if constexpr (Grid::kTapered) return raw(0.0 - a.v_);
-    return raw(-a.v_);
-  }
+  friend OnGrid operator-(OnGrid a) noexcept { return raw(Grid::neg(a.v_)); }
   friend OnGrid operator+(OnGrid a) noexcept { return a; }
 
   OnGrid& operator+=(OnGrid o) noexcept { return *this = *this + o; }
@@ -308,39 +526,27 @@ class OnGrid {
   OnGrid& operator*=(OnGrid o) noexcept { return *this = *this * o; }
   OnGrid& operator/=(OnGrid o) noexcept { return *this = *this / o; }
 
-  // SoftFloat: IEEE comparisons. Tapered: the total order of the signed
-  // encoding, where NaR equals itself and is below every number.
-  friend bool operator==(OnGrid a, OnGrid b) noexcept {
-    if constexpr (Grid::kTapered) return a.v_ == b.v_ || (a.v_ != a.v_ && b.v_ != b.v_);
-    return a.v_ == b.v_;
-  }
-  friend bool operator<(OnGrid a, OnGrid b) noexcept {
-    if constexpr (Grid::kTapered) return a.v_ < b.v_ || (a.v_ != a.v_ && b.v_ == b.v_);
-    return a.v_ < b.v_;
-  }
+  friend bool operator==(OnGrid a, OnGrid b) noexcept { return Grid::eq(a.v_, b.v_); }
+  friend bool operator<(OnGrid a, OnGrid b) noexcept { return Grid::lt(a.v_, b.v_); }
   friend bool operator!=(OnGrid a, OnGrid b) noexcept { return !(a == b); }
   friend bool operator>(OnGrid a, OnGrid b) noexcept { return b < a; }
-  friend bool operator<=(OnGrid a, OnGrid b) noexcept {
-    if constexpr (Grid::kTapered) return !(b < a);
-    return a.v_ <= b.v_;
-  }
+  friend bool operator<=(OnGrid a, OnGrid b) noexcept { return Grid::le(a.v_, b.v_); }
   friend bool operator>=(OnGrid a, OnGrid b) noexcept { return b <= a; }
 
-  [[nodiscard]] friend OnGrid abs(OnGrid a) noexcept { return raw(std::fabs(a.v_)); }
+  [[nodiscard]] friend OnGrid abs(OnGrid a) noexcept { return raw(Grid::abs(a.v_)); }
   [[nodiscard]] friend OnGrid sqrt(OnGrid a) noexcept { return raw(Grid::sqrt(a.v_)); }
-  [[nodiscard]] friend bool is_number(OnGrid a) noexcept {
-    if constexpr (Grid::kTapered) return a.v_ == a.v_;
-    return std::isfinite(a.v_);
-  }
+  [[nodiscard]] friend bool is_number(OnGrid a) noexcept { return Grid::is_number(a.v_); }
 
  private:
-  [[nodiscard]] static OnGrid raw(double on_grid) noexcept {
+  using Value = typename Grid::Value;
+
+  [[nodiscard]] static OnGrid raw(Value on_grid) noexcept {
     OnGrid r;
     r.v_ = on_grid;
     return r;
   }
 
-  double v_ = 0.0;
+  Value v_{};
 };
 
 template <typename T>

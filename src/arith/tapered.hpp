@@ -34,6 +34,17 @@ struct Unpacked {
   std::uint64_t m = 0;
 };
 
+/// An exact finite non-zero result before rounding: magnitude =
+/// (m + guard/2 + tail) * 2^(e - 63) with m in [2^63, 2^64), where the tail
+/// lies in (0, 1/2) when sticky is set and is 0 otherwise.
+struct ExactResult {
+  bool neg = false;
+  int e = 0;
+  std::uint64_t m = 0;
+  bool guard = false;
+  bool sticky = false;
+};
+
 namespace detail {
 
 /// Encoding-level round-to-nearest-even with posit/takum saturation:
@@ -69,6 +80,45 @@ template <int N, typename Storage>
 
 [[nodiscard]] constexpr int bitlen(unsigned v) noexcept {
   return v == 0 ? 0 : 32 - __builtin_clz(v);
+}
+
+// The exact cores of *, / and sqrt on decoded finite non-zero operands.
+// They stop before rounding, so TaperedFloat packs their result to an
+// encoding and the resident 64-bit grids (arith/on_grid.hpp) round it in
+// the unpacked domain.
+
+/// Normalizes a non-zero 128-bit significand r whose unit is 2^(e0 - 126)
+/// (so 2^126 <= r means magnitude >= 2^e0) to an ExactResult.
+[[nodiscard]] inline ExactResult normalize_u128(bool neg, int e0, u128 r, bool sticky) noexcept {
+  const int t = 127 - clz_u128(r);
+  r <<= (127 - t);
+  const auto lo = static_cast<std::uint64_t>(r);
+  return {neg, e0 - 126 + t, static_cast<std::uint64_t>(r >> 64), ((lo >> 63) & 1) != 0,
+          sticky || (lo & ((1ull << 63) - 1)) != 0};
+}
+
+[[nodiscard]] inline ExactResult mul_exact(const Unpacked& x, const Unpacked& y) noexcept {
+  return normalize_u128(x.neg != y.neg, x.e + y.e, static_cast<u128>(x.m) * y.m, false);
+}
+
+[[nodiscard]] inline ExactResult div_exact(const Unpacked& x, const Unpacked& y) noexcept {
+  const u128 num = static_cast<u128>(x.m) << 64;
+  const u128 q = num / y.m;  // in (2^63, 2^65)
+  return normalize_u128(x.neg != y.neg, x.e - y.e + 62, q, num % y.m != 0);
+}
+
+/// Square root of a positive value.
+[[nodiscard]] inline ExactResult sqrt_exact(const Unpacked& x) noexcept {
+  u128 mm = x.m;
+  int e = x.e;
+  if (e & 1) {  // works for negative odd e too: (e & 1) == 1
+    mm <<= 1;
+    e -= 1;
+  }
+  const u128 n = mm << 63;
+  const std::uint64_t s = isqrt_u128(n);
+  const u128 rem = n - static_cast<u128>(s) * s;
+  return {false, e / 2, s, false, rem != 0};
 }
 
 }  // namespace detail
@@ -117,9 +167,7 @@ class TaperedFloat {
     if (p.nan || p.inf) return nar();
     if (p.zero) return zero();
     // |d| = sig * 2^(p.e), sig in [2^52, 2^53); re-anchor at 64 bits.
-    const std::uint64_t m = p.sig << 11;
-    const int e = p.e + 52;
-    return make(p.neg, e, m, false, false);
+    return from_exact(ExactResult{p.neg, p.e + 52, p.sig << 11, false, false});
   }
 
   [[nodiscard]] double to_double() const noexcept {
@@ -158,16 +206,7 @@ class TaperedFloat {
   friend TaperedFloat operator/(TaperedFloat a, TaperedFloat b) noexcept {
     if (a.is_nar() || b.is_nar() || b.is_zero()) return nar();
     if (a.is_zero()) return zero();
-    const Unpacked x = a.unpack(), y = b.unpack();
-    const u128 num = static_cast<u128>(x.m) << 64;
-    u128 q = num / y.m;  // in (2^63, 2^65)
-    const u128 rem = num % y.m;
-    const int t = 127 - clz_u128(q);
-    q <<= (127 - t);
-    const auto m = static_cast<std::uint64_t>(q >> 64);
-    const bool g = (static_cast<std::uint64_t>(q) >> 63) & 1;
-    const bool s = ((static_cast<std::uint64_t>(q) & ((1ull << 63) - 1)) != 0) || rem != 0;
-    return make(x.neg != y.neg, x.e - y.e - 64 + t, m, g, s);
+    return from_exact(detail::div_exact(a.unpack(), b.unpack()));
   }
 
   friend TaperedFloat operator-(TaperedFloat a) noexcept {
@@ -183,17 +222,7 @@ class TaperedFloat {
   [[nodiscard]] friend TaperedFloat sqrt(TaperedFloat a) noexcept {
     if (a.is_nar() || a.is_zero()) return a;
     if (a.is_negative()) return nar();
-    Unpacked x = a.unpack();
-    u128 mm = x.m;
-    int e = x.e;
-    if (e & 1) {  // works for negative odd e too: (e & 1) == 1
-      mm <<= 1;
-      e -= 1;
-    }
-    const u128 n = mm << 63;
-    const std::uint64_t s = isqrt_u128(n);
-    const u128 rem = n - static_cast<u128>(s) * s;
-    return make(false, e / 2, s, false, rem != 0);
+    return from_exact(detail::sqrt_exact(a.unpack()));
   }
 
   [[nodiscard]] friend TaperedFloat abs(TaperedFloat a) noexcept {
@@ -228,23 +257,19 @@ class TaperedFloat {
       if (sticky) r -= 1;
       if (r == 0) return zero();
     }
-    const int t = 127 - clz_u128(r);
-    r <<= (127 - t);
-    const auto m = static_cast<std::uint64_t>(r >> 64);
-    const bool g = (static_cast<std::uint64_t>(r) >> 63) & 1;
-    const bool s = sticky || (static_cast<std::uint64_t>(r) & ((1ull << 63) - 1)) != 0;
-    return make(x.neg, x.e - 126 + t, m, g, s);
+    return from_exact(detail::normalize_u128(x.neg, x.e, r, sticky));
   }
 
   /// Exact product of two finite non-zero values.
   [[nodiscard]] static TaperedFloat mul_unpacked(const Unpacked& x, const Unpacked& y) noexcept {
-    u128 prod = static_cast<u128>(x.m) * y.m;  // in [2^126, 2^128)
-    const int t = 127 - clz_u128(prod);
-    prod <<= (127 - t);
-    const auto m = static_cast<std::uint64_t>(prod >> 64);
-    const bool g = (static_cast<std::uint64_t>(prod) >> 63) & 1;
-    const bool s = (static_cast<std::uint64_t>(prod) & ((1ull << 63) - 1)) != 0;
-    return make(x.neg != y.neg, x.e + y.e - 126 + t, m, g, s);
+    return from_exact(detail::mul_exact(x, y));
+  }
+
+  /// Rounds and packs a finite non-zero exact result.
+  [[nodiscard]] static TaperedFloat from_exact(const ExactResult& r) noexcept {
+    const Storage payload = Codec::encode_positive(r.e, r.m, r.guard, r.sticky);
+    if (!r.neg) return from_bits(payload);
+    return from_bits(static_cast<Storage>((~payload + 1) & kMask));
   }
 
   // -- Comparisons: total order via the signed encoding (NaR is smallest) --
@@ -266,14 +291,6 @@ class TaperedFloat {
   [[nodiscard]] static constexpr std::int64_t signed_bits(Storage s) noexcept {
     using SignedStorage = std::make_signed_t<Storage>;
     return static_cast<std::int64_t>(static_cast<SignedStorage>(s));
-  }
-
-  /// Round and pack a finite non-zero result.
-  [[nodiscard]] static TaperedFloat make(bool neg, int e, std::uint64_t m, bool guard,
-                                         bool sticky) noexcept {
-    const Storage payload = Codec::encode_positive(e, m, guard, sticky);
-    if (!neg) return from_bits(payload);
-    return from_bits(static_cast<Storage>((~payload + 1) & kMask));
   }
 
   /// Shared addition/subtraction entry: special cases, then the exact core.

@@ -152,7 +152,7 @@ PartialSchurResult<T> lanczos_core(const Op& a, const PartialSchurOptions& opts)
 /// Symmetric partial eigendecomposition via thick-restart Lanczos.
 /// Options are shared with partialschur(); `which` must be a real ordering
 /// (largest/smallest magnitude or real — all eigenvalues are real here).
-/// Runs resident in binary64 for the formats partialschur does.
+/// Runs resident (OnGrid<T>) for the formats partialschur does.
 template <typename T, class Op>
 PartialSchurResult<T> lanczos_eigs(const Op& a, const PartialSchurOptions& opts = {}) {
   if constexpr (kGridResident<T>) {

@@ -102,6 +102,7 @@ void standardize_2x2(DenseMatrix<T>& t, DenseMatrix<T>& z, std::size_t i) {
 template <typename T>
 bool make_reflector(const T* x, int nr, T* v, T& tau,
                     ReflectorStyle style = ReflectorStyle::lapack) {
+  nr = nr < 3 ? nr : 3;  // a 2- or 3-vector: lets the compiler see xs[] holds it
   T scale(0);
   for (int i = 0; i < nr; ++i) scale += abs(x[i]);
   if (scale == T(0) || !is_number(scale)) return false;

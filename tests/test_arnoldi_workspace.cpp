@@ -147,9 +147,14 @@ TEST(ArnoldiWorkspace, StepsAreAllocationFreeOnGridPosit32) {
   expect_allocation_free_steps<OnGrid<Posit32>>();
 }
 
+TEST(ArnoldiWorkspace, StepsAreAllocationFreeOnGridPosit64) {
+  expect_allocation_free_steps<OnGrid<Posit64>>();
+}
+
 TEST(ArnoldiWorkspace, StepsThroughResidentOpAreAllocationFree) {
   expect_allocation_free_resident_steps<BFloat16>();
   expect_allocation_free_resident_steps<Posit32>();
+  expect_allocation_free_resident_steps<Takum64>();
 }
 
 // The operator-new hook itself must be live, or the zero-count assertions

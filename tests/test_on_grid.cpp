@@ -1,18 +1,23 @@
-// Oracle tests for the double-resident arithmetic (arith/on_grid.hpp): the
-// exact engines (SoftFloat, TaperedFloat) are the oracle for every format
-// that runs resident.
+// Oracle tests for the resident arithmetic (arith/on_grid.hpp): the exact
+// engines (SoftFloat, TaperedFloat) are the oracle for every format that
+// runs resident. A resident result matches when its double does (16 and 32
+// bits) or when its encoding and its unpacked fields do (64 bits).
 //
-//  * Rounding: OnGrid<T>(x) equals T::from_double(x).to_double() on every
-//    grid point (all 2^16 encodings of the 16-bit formats, sampled plus
-//    every binade boundary for 32 bits), on every midpoint and every power
-//    of two between neighbours (the truncated-exponent ties of posits),
-//    one double-ulp either side of each, and on the special doubles.
+//  * Rounding: OnGrid<T>(x) equals T::from_double(x) on every grid point
+//    (all 2^16 encodings of the 16-bit formats, sampled plus every binade
+//    boundary for 32 and 64 bits), on every midpoint and every power of two
+//    between neighbours (the truncated-exponent ties of posits), one
+//    double-ulp either side of each, and on the special doubles.
+//  * Fraction bits: the per-binade table every tapered grid rounds by,
+//    against the spacing of the codecs' own encodings.
 //  * Operations: + - * / and sqrt on boundary x boundary operands and on
 //    10^6 random pairs per operation, plus constructed 32-bit products that
-//    only round-to-odd gets right. DISABLED_ tests (run in CI) cover all
-//    2^32 pairs of the 16-bit formats and >= 10^8 pairs of the 32-bit ones.
+//    only round-to-odd gets right and constructed 64-bit sums for every
+//    exponent gap and binade. DISABLED_ tests (run in CI) cover all 2^32
+//    pairs of the 16-bit formats and >= 10^8 pairs of the 32- and 64-bit
+//    ones.
 //  * Predicates: comparisons, abs, negation and is_number on NaR/NaN,
-//    +-0, infinities and ordinary values.
+//    +-0, infinities, the ends of the range and ordinary values.
 //  * Whole solves: partialschur<T>/lanczos_eigs<T> (resident) against the
 //    solver bodies run over T itself, digest for digest.
 #include <gtest/gtest.h>
@@ -48,6 +53,12 @@ template <typename T>
   return ScalarCodec<T>::bits;
 }
 
+/// All encodings of T: the low width<T>() bits.
+template <typename T>
+[[nodiscard]] constexpr std::uint64_t mask() {
+  return ~std::uint64_t{0} >> (64 - width<T>());
+}
+
 template <typename T>
 [[nodiscard]] T from_encoding(std::uint64_t b) {
   return T::from_bits(static_cast<typename T::Storage>(b));
@@ -56,6 +67,18 @@ template <typename T>
 template <typename T>
 [[nodiscard]] double value_of(std::uint64_t b) {
   return from_encoding<T>(b).to_double();
+}
+
+/// Does the resident value equal the engine's? The double-resident grids
+/// compare the double they hold; the 64-bit grids the encoding and, so the
+/// fields are canonical, the value decoded from the engine's result.
+template <typename T>
+[[nodiscard]] bool matches(OnGrid<T> got, T want) {
+  if constexpr (width<T>() == 64) {
+    return got.to_format().bits() == want.bits() && got == OnGrid<T>(want);
+  } else {
+    return bits_of(got.to_double()) == bits_of(want.to_double());
+  }
 }
 
 /// Counts mismatches and reports the first few; `detail` (a callable
@@ -88,10 +111,11 @@ class Tally {
 template <typename T>
 void check_round(Tally& tally, double x) {
   for (const double y : {x, -x}) {
-    const double got = OnGrid<T>(y).to_double();
-    const double want = T::from_double(y).to_double();
-    tally.check(bits_of(got) == bits_of(want), [&] {
-      return "round(" + hex(y) + ") = " + hex(got) + ", exact engine " + hex(want);
+    const OnGrid<T> got(y);
+    const T want = T::from_double(y);
+    tally.check(matches(got, want), [&] {
+      return "round(" + hex(y) + ") = " + hex(got.to_double()) + ", exact engine " +
+             hex(want.to_double());
     });
   }
 }
@@ -117,7 +141,7 @@ void check_between(Tally& tally, double v, double w) {
   }
 }
 
-/// Positive encodings to probe: all of them for 16 bits; for 32 bits the
+/// Positive encodings to probe: all of them for 16 bits; for 32/64 bits the
 /// ends of the range (saturation, truncated exponents), a few around every
 /// binade boundary, and a random sample.
 template <typename T>
@@ -157,9 +181,12 @@ void expect_rounding_matches_engine() {
     }
     check_between<T>(tally, v, b + 1 < kTop ? value_of<T>(b + 1) : kInf);
     // Every value converts exactly both ways.
+    const T x = from_encoding<T>(b);
     const auto where = [&] { return "encoding conversion at " + hex(v); };
-    tally.check(bits_of(OnGrid<T>(from_encoding<T>(b)).to_double()) == bits_of(v), where);
-    tally.check(OnGrid<T>(v).to_format().bits() == from_encoding<T>(b).bits(), where);
+    tally.check(bits_of(OnGrid<T>(x).to_double()) == bits_of(v), where);
+    tally.check(OnGrid<T>(x).to_format().bits() == x.bits(), where);
+    // Below 64 bits, v is the value itself.
+    if constexpr (width<T>() < 64) tally.check(OnGrid<T>(v).to_format().bits() == x.bits(), where);
   }
   // Special and extreme doubles: zeros, infinities, NaN, the double
   // subnormals, and far outside the grid's range (saturation/overflow).
@@ -218,14 +245,13 @@ S apply(Op op, S a, S b) {
 template <typename T>
 [[nodiscard]] bool same_op(Op op, std::uint64_t a, std::uint64_t b) {
   const T x = from_encoding<T>(a), y = from_encoding<T>(b);
-  const double got = apply(op, OnGrid<T>(x), OnGrid<T>(y)).to_double();
-  return bits_of(got) == bits_of(apply(op, x, y).to_double());
+  return matches(apply(op, OnGrid<T>(x), OnGrid<T>(y)), apply(op, x, y));
 }
 
 template <typename T>
 [[nodiscard]] bool same_sqrt(std::uint64_t a) {
   const T x = from_encoding<T>(a);
-  return bits_of(sqrt(OnGrid<T>(x)).to_double()) == bits_of(sqrt(x).to_double());
+  return matches(sqrt(OnGrid<T>(x)), sqrt(x));
 }
 
 [[nodiscard]] std::string op_detail(Op op, std::uint64_t a, std::uint64_t b) {
@@ -239,9 +265,8 @@ template <typename T>
 /// and next to every binade boundary, with their negations.
 template <typename T>
 std::vector<std::uint64_t> boundary_operands() {
-  constexpr int kBits = width<T>();
-  constexpr std::uint64_t kMask = (std::uint64_t{1} << kBits) - 1;
-  constexpr std::uint64_t kTop = std::uint64_t{1} << (kBits - 1);
+  constexpr std::uint64_t kMask = mask<T>();
+  constexpr std::uint64_t kTop = std::uint64_t{1} << (width<T>() - 1);
   std::vector<std::uint64_t> ops = {0, 1, 2, kTop - 1, kTop - 2};
   for (int e = -300; e <= 300; ++e) {
     const std::uint64_t p = T::from_double(std::ldexp(1.0, e)).bits();
@@ -281,7 +306,7 @@ void expect_operations_match_engine(int random_pairs) {
     check_sqrt(edge[i]);
     for (std::size_t j = i % stride; j < edge.size(); j += stride) check(edge[i], edge[j]);
   }
-  constexpr std::uint64_t kMask = (std::uint64_t{1} << width<T>()) - 1;
+  constexpr std::uint64_t kMask = mask<T>();
   SplitMix64 sm(0x0f00d + width<T>());
   for (int i = 0; i < random_pairs; ++i) {
     const std::uint64_t a = sm.next() & kMask, b = sm.next() & kMask;
@@ -354,9 +379,10 @@ void expect_predicates_match_engine() {
     const OnGrid<T> gx(x);
     const auto at = [&](const char* what) { return [&, what] { return what + (" " + hex(x.to_double())); }; };
     tally.check(is_number(gx) == is_number(x), at("is_number"));
-    tally.check(bits_of(abs(gx).to_double()) == bits_of(abs(x).to_double()), at("abs"));
-    tally.check(bits_of((-gx).to_double()) == bits_of((-x).to_double()), at("negate"));
-    tally.check((-gx).to_format().bits() == T::from_double((-x).to_double()).bits(), at("negate bits"));
+    tally.check(matches(abs(gx), abs(x)), at("abs"));
+    tally.check(matches(-gx, -x), at("negate"));
+    if constexpr (width<T>() < 64)
+      tally.check((-gx).to_format().bits() == T::from_double((-x).to_double()).bits(), at("negate bits"));
     for (const T y : values) {
       const OnGrid<T> gy(y);
       const auto vs = [&](const char* what) {
@@ -372,12 +398,128 @@ void expect_predicates_match_engine() {
   }
 }
 
-// ---- The six resident formats -----------------------------------------------------
+// ---- The fraction-bits table ------------------------------------------------------
+
+/// Fraction bits of binade e as the grid of T rounds by: read back from the
+/// double-resident grids' quantum table, straight from the 64-bit ones'.
+template <typename T>
+[[nodiscard]] int table_fraction_bits(int e) {
+  using Grid = typename detail::GridFor<T>::type;
+  if constexpr (width<T>() == 64) {
+    return Grid::fraction_bits(e);
+  } else {
+    if (e <= -1023 || e >= 1024) return 0;
+    const double c = Grid::kRoundShift[static_cast<std::size_t>(e + 1023)];
+    return c == 0.0 ? 0 : e + 52 - std::ilogb(c);
+  }
+}
+
+/// Where the table gives binade e fb >= 1 fraction bits, the codec must
+/// encode 2^e and 2^(e+1) exactly, 2^fb encodings apart, with the encoding
+/// after 2^e one quantum 2^(e - fb) above it: then (the encoding being
+/// monotone) the binade is 2^fb linearly spaced consecutive encodings, and
+/// nearest-even on the significand is nearest-even on the encoding. Where
+/// the table gives 0, the binade must have no fraction bits (outside the
+/// takum end binades, which the table leaves to the exact engine by design).
+template <typename T>
+void expect_fraction_bits_match_codec() {
+  const std::string name = NumTraits<T>::name();
+  const bool takum = name.rfind("takum", 0) == 0;
+  const auto exactly = [](int e, T x) {
+    if (!is_number(x) || x.is_zero() || x.is_negative()) return false;
+    const Unpacked u = x.unpack();
+    return u.e == e && u.m == std::uint64_t{1} << 63;
+  };
+  int linear = 0;
+  for (int e = -300; e <= 300; ++e) {
+    const int fb = table_fraction_bits<T>(e);
+    const T lo = T::from_double(std::ldexp(1.0, e));
+    const T hi = T::from_double(std::ldexp(1.0, e + 1));
+    const T next = T::from_bits(static_cast<typename T::Storage>(lo.bits() + 1));
+    if (fb > 0) {
+      ++linear;
+      ASSERT_TRUE(exactly(e, lo) && exactly(e + 1, hi)) << name << " binade " << e;
+      EXPECT_EQ(hi.bits() - lo.bits(), std::uint64_t{1} << fb) << name << " binade " << e;
+      const Unpacked u = next.unpack();
+      EXPECT_EQ(u.e, e) << name << " binade " << e;
+      EXPECT_EQ(u.m - (std::uint64_t{1} << 63), std::uint64_t{1} << (63 - fb)) << name << " binade " << e;
+    } else if (!(takum && (e == -255 || e == 254)) && exactly(e, lo)) {
+      const bool fraction = is_number(next) && next.unpack().e == e;
+      EXPECT_FALSE(fraction) << name << " binade " << e << " has fraction bits the table leaves out";
+    }
+  }
+  EXPECT_GT(linear, 50) << name;
+}
+
+TEST(OnGridTable, FractionBitsMatchTheCodecsSpacing) {
+  expect_fraction_bits_match_codec<Posit16>();
+  expect_fraction_bits_match_codec<Posit32>();
+  expect_fraction_bits_match_codec<Posit64>();
+  expect_fraction_bits_match_codec<Takum16>();
+  expect_fraction_bits_match_codec<Takum32>();
+  expect_fraction_bits_match_codec<Takum64>();
+}
+
+// ---- 64-bit sums ------------------------------------------------------------------
+
+/// The cases the one-word sum of the 64-bit grids argues about: every binade
+/// (the fallback ones included) against every exponent gap 0..70 in both
+/// signs and operand orders, operands at the bottom, middle and top of their
+/// binade (the top ones carry into the next binade), and near-cancellation
+/// of neighbouring encodings.
+template <typename T>
+void expect_sums_64() {
+  static_assert(width<T>() == 64);
+  Tally tally(NumTraits<T>::name() + " sums");
+  constexpr std::uint64_t kTop = std::uint64_t{1} << 63;
+  SplitMix64 sm(0x5ca1e);
+  // Positive encodings in binade e: its bottom, a random middle and its top.
+  const auto binade = [&](int e) {
+    const std::uint64_t lo = T::from_double(std::ldexp(1.0, e)).bits();
+    const std::uint64_t hi = T::from_double(std::ldexp(1.0, e + 1)).bits();
+    std::vector<std::uint64_t> out = {lo};
+    if (hi > lo + 1) out.insert(out.end(), {lo + 1, hi - 1});
+    if (hi > lo + 3) out.push_back(lo + 2 + sm.next() % (hi - lo - 3));
+    return out;
+  };
+  const auto check = [&](std::uint64_t a, std::uint64_t b) {
+    const auto neg = [](std::uint64_t x) { return (~x + 1); };
+    for (const std::uint64_t x : {a, neg(a)}) {
+      for (const std::uint64_t y : {b, neg(b)}) {
+        for (const Op op : {Op::add, Op::sub}) {
+          tally.check(same_op<T>(op, x, y) && same_op<T>(op, y, x), [&] { return op_detail(op, x, y); });
+        }
+      }
+    }
+  };
+  int fallback = 0;
+  const int min_exp = T::min_positive().unpack().e;
+  for (int e = min_exp; e <= T::max_positive().unpack().e; ++e) {
+    fallback += detail::GridFor<T>::type::fraction_bits(e) == 0 ? 1 : 0;
+    for (const std::uint64_t a : binade(e)) {
+      for (int gap = 0; gap <= 70 && e - gap >= min_exp; ++gap) {
+        for (const std::uint64_t b : binade(e - gap)) check(a, b);
+      }
+      for (std::uint64_t k = 1; k <= 3; ++k) {
+        if (a > k) check(a, a - k);
+        if (a + k < kTop) check(a, a + k);
+      }
+    }
+  }
+  EXPECT_GE(fallback, 2) << "no fallback binades exercised";
+}
+
+TEST(OnGridSums64, Posit64GapsCarriesAndFallbackBinades) { expect_sums_64<Posit64>(); }
+
+TEST(OnGridSums64, Takum64GapsCarriesAndFallbackBinades) { expect_sums_64<Takum64>(); }
+
+// ---- The eight resident formats ---------------------------------------------------
 
 template <typename T>
 class OnGridFormat : public ::testing::Test {};
 
-using ResidentFormats = ::testing::Types<Float16, BFloat16, Posit16, Takum16, Posit32, Takum32>;
+using ResidentFormats =
+    ::testing::Types<Float16, BFloat16, Posit16, Takum16, Posit32, Takum32, Posit64, Takum64>;
 
 struct FormatName {
   template <typename T>
@@ -515,7 +657,7 @@ void expect_all_pairs(unsigned threads) {
 template <typename T>
 void expect_sampled(std::uint64_t pairs, unsigned threads) {
   const std::vector<std::uint64_t> edge = boundary_operands<T>();
-  constexpr std::uint64_t kMask = (std::uint64_t{1} << width<T>()) - 1;
+  constexpr std::uint64_t kMask = mask<T>();
   std::atomic<std::uint64_t> mismatches{0};
   std::vector<std::thread> pool;
   for (unsigned t = 0; t < threads; ++t) {
@@ -552,6 +694,12 @@ TEST(OnGridOracle, DISABLED_OnGrid16AllPairs) {
 TEST(OnGridOracle, DISABLED_OnGrid32Sampled) {
   expect_sampled<Posit32>(100000000, oracle_threads());
   expect_sampled<Takum32>(100000000, oracle_threads());
+}
+
+// The same for the 64-bit formats.
+TEST(OnGridOracle, DISABLED_OnGrid64Sampled) {
+  expect_sampled<Posit64>(100000000, oracle_threads());
+  expect_sampled<Takum64>(100000000, oracle_threads());
 }
 
 }  // namespace
