@@ -3,9 +3,9 @@
 // The paper deliberately excludes execution time from its evaluation (all
 // formats are software-emulated there too); this harness documents the
 // emulation costs of *this* library so users can size experiments. The
-// OnGrid<T> rows are the resident arithmetic the solvers run the 16- to
-// 64-bit formats in (arith/on_grid.hpp), next to the exact-engine rows of
-// the same format.
+// OnGrid<T> rows are the resident arithmetic the solvers run the emulated
+// formats of 8 to 64 bits in (arith/on_grid.hpp), next to the exact-engine
+// rows of the same format.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -109,7 +109,10 @@ void BM_FromDouble(benchmark::State& state) {
   BENCHMARK_TEMPLATE(BM_Div, OnGrid<T>);          \
   BENCHMARK_TEMPLATE(BM_Sqrt, OnGrid<T>)
 
-MFLA_BENCH_FORMAT(OFP8E4M3);
+MFLA_BENCH_RESIDENT(OFP8E4M3);
+MFLA_BENCH_RESIDENT(OFP8E5M2);
+MFLA_BENCH_RESIDENT(Posit8);
+MFLA_BENCH_RESIDENT(Takum8);
 MFLA_BENCH_RESIDENT(Float16);
 MFLA_BENCH_RESIDENT(BFloat16);
 MFLA_BENCH_RESIDENT(Posit16);

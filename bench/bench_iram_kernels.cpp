@@ -1,9 +1,12 @@
 // Microbenchmark A2: throughput of the IRAM's inner kernels (dot, norm,
 // axpy, sparse matvec, full Arnoldi step) per format and problem size.
+// The 8-bit rows put the kernels' table path over T next to the
+// table-resident OnGrid<T> the solvers run their dense work in.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
+#include "arith/on_grid.hpp"
 #include "core/arnoldi.hpp"
 #include "kernels/vector_ops.hpp"
 #include "graph/generators.hpp"
@@ -96,6 +99,14 @@ void BM_ArnoldiStep(benchmark::State& state) {
   BENCHMARK_TEMPLATE(BM_SpMV, T)->Arg(512);                     \
   BENCHMARK_TEMPLATE(BM_ArnoldiStep, T)->Arg(512)
 
+#define MFLA_VECTOR_BENCH(T)                          \
+  BENCHMARK_TEMPLATE(BM_Dot, T)->Arg(256)->Arg(4096); \
+  BENCHMARK_TEMPLATE(BM_Axpy, T)->Arg(256)->Arg(4096)
+
+MFLA_VECTOR_BENCH(OFP8E4M3);
+MFLA_VECTOR_BENCH(OnGrid<OFP8E4M3>);
+MFLA_VECTOR_BENCH(Posit8);
+MFLA_VECTOR_BENCH(OnGrid<Posit8>);
 MFLA_KERNEL_BENCH(float);
 MFLA_KERNEL_BENCH(double);
 MFLA_KERNEL_BENCH(Float16);

@@ -1,4 +1,4 @@
-// Resident arithmetic for the emulated formats of 16 to 64 bits.
+// Resident arithmetic for the emulated formats of 8 to 64 bits.
 //
 // OnGrid<T> holds a value that always lies on T's grid (the set of values T
 // can represent) in a form the host computes with directly, so no operand
@@ -6,6 +6,12 @@
 // boundary (to_format and the OnGrid(T) constructor, both exact). Results
 // equal T's own operations bit for bit:
 //
+//  * Table-resident grids (8 bits: OFP8 E4M3/E5M2, posit8, takum8): the
+//    value is the encoding byte itself. +, *, / and sqrt are one lookup in
+//    the whole-operation tables of arith/lut8.hpp (the copy the SELL-8
+//    SpMV reads); - is + of the negated encoding (a sign-bit flip for OFP8,
+//    two's complement for posit8/takum8). Tapered comparisons compare the
+//    signed byte; OFP8 ones compare the decoded doubles.
 //  * Double-resident grids (16 and 32 bits): every value is a binary64.
 //    Each operation is one hardware operation plus one rounding onto the
 //    grid.
@@ -51,6 +57,7 @@
 #include <limits>
 #include <string>
 
+#include "arith/lut8.hpp"
 #include "arith/traits.hpp"
 
 namespace mfla {
@@ -199,7 +206,7 @@ template <class Codec>
 struct TaperedGrid : DoubleValued<TaperedFloat<Codec>, true> {
   using Format = TaperedFloat<Codec>;
   static_assert(Codec::nbits >= 16 && Codec::nbits <= 32,
-                "the 64-bit grids are unpacked-resident; the 8-bit ones keep their tables");
+                "the 8-bit grids are table-resident and the 64-bit ones unpacked-resident");
 
   /// Fraction bits of the binade with biased double exponent be, or 0 for
   /// the exact engine.
@@ -454,11 +461,97 @@ struct UnpackedGrid {
   }
 };
 
+/// The 8-bit grids (OFP8 E4M3/E5M2, posit8, takum8): the value is the
+/// encoding byte and every operation is one lookup in Lut8<F>'s tables.
+/// Values enter only through the OnGrid constructors (round, from_format
+/// and the default zero), which build the tables first; the operations
+/// then index them with no guard.
+template <class F>
+struct ByteGrid {
+  using Format = F;
+  using Value = std::uint8_t;
+  static constexpr bool kTapered = NumTraits<F>::tapered;
+  static constexpr Value kNaR = 0x80;  // tapered only
+
+  static void build_tables() noexcept { (void)Lut8<F>::instance(); }
+
+  [[nodiscard]] static Value round(double x) noexcept {
+    build_tables();
+    return F::from_double(x).bits();
+  }
+  [[nodiscard]] static Value from_format(Format x) noexcept {
+    build_tables();
+    return x.bits();
+  }
+  [[nodiscard]] static Format to_format(Value v) noexcept { return Format::from_bits(v); }
+  [[nodiscard]] static double to_double(Value v) noexcept { return t().dec[v]; }
+
+  /// Indexed (b << 8) | a, which the symmetric table allows: an
+  /// accumulator is usually the left operand, and in the low byte it needs
+  /// no shift on the dependency chain.
+  [[nodiscard]] static Value add(Value a, Value b) noexcept {
+    return t().add[detail::lut8_index(b, a)];
+  }
+  [[nodiscard]] static Value sub(Value a, Value b) noexcept { return add(a, neg(b)); }
+  [[nodiscard]] static Value mul(Value a, Value b) noexcept {
+    return t().mul[detail::lut8_index(a, b)];
+  }
+  [[nodiscard]] static Value div(Value a, Value b) noexcept {
+    return t().div[detail::lut8_index(a, b)];
+  }
+  [[nodiscard]] static Value sqrt(Value a) noexcept { return t().sqrt[a]; }
+
+  /// Two's complement for tapered formats (NaR and zero are their own
+  /// negations), a sign-bit flip for OFP8 (NaN payloads kept, as T does).
+  [[nodiscard]] static Value neg(Value a) noexcept {
+    if constexpr (kTapered) return static_cast<Value>(0u - a);
+    return static_cast<Value>(a ^ 0x80u);
+  }
+  [[nodiscard]] static Value abs(Value a) noexcept {
+    if constexpr (kTapered) return signed_byte(a) < 0 ? neg(a) : a;
+    return static_cast<Value>(a & 0x7fu);
+  }
+
+  // Tapered: the order of the signed encoding, where NaR (0x80) equals
+  // itself and is below every number. OFP8: IEEE comparisons of the
+  // decoded doubles (NaN unordered, +0 == -0).
+  [[nodiscard]] static bool eq(Value a, Value b) noexcept {
+    if constexpr (kTapered) return a == b;
+    return t().dec[a] == t().dec[b];
+  }
+  [[nodiscard]] static bool lt(Value a, Value b) noexcept {
+    if constexpr (kTapered) return signed_byte(a) < signed_byte(b);
+    return t().dec[a] < t().dec[b];
+  }
+  [[nodiscard]] static bool le(Value a, Value b) noexcept {
+    if constexpr (kTapered) return signed_byte(a) <= signed_byte(b);
+    return t().dec[a] <= t().dec[b];
+  }
+  [[nodiscard]] static bool is_number(Value a) noexcept {
+    if constexpr (kTapered) return a != kNaR;
+    return std::isfinite(t().dec[a]);
+  }
+
+ private:
+  [[nodiscard]] static const Lut8Data& t() noexcept { return lut8_data<F>; }
+  [[nodiscard]] static std::int8_t signed_byte(Value a) noexcept {
+    return static_cast<std::int8_t>(a);
+  }
+};
+
+template <typename T>
+concept ByteFormat = HasScalarCodec<T> && ScalarCodec<T>::bits == 8;
+
 template <typename T>
 struct GridFor;  // formats without a resident grid have none
 template <int E, int M>
+  requires(1 + E + M > 8)
 struct GridFor<SoftFloat<E, M, Flavor::ieee>> {
   using type = SoftFloatGrid<E, M>;
+};
+template <ByteFormat T>
+struct GridFor<T> {
+  using type = ByteGrid<T>;
 };
 template <class Codec>
   requires(Codec::nbits >= 16 && Codec::nbits <= 32)
@@ -473,11 +566,18 @@ struct GridFor<TaperedFloat<Codec>> {
 
 }  // namespace detail
 
-/// The formats the solvers run resident: in binary64 up to 32 bits,
-/// unpacked at 64. The 8-bit formats keep their whole-operation lookup
-/// tables.
+/// The formats the solvers run resident: on the encoding byte at 8 bits,
+/// in binary64 at 16 and 32, unpacked at 64.
 template <typename T>
 inline constexpr bool kGridResident = false;
+template <>
+inline constexpr bool kGridResident<OFP8E4M3> = true;
+template <>
+inline constexpr bool kGridResident<OFP8E5M2> = true;
+template <>
+inline constexpr bool kGridResident<Posit8> = true;
+template <>
+inline constexpr bool kGridResident<Takum8> = true;
 template <>
 inline constexpr bool kGridResident<Float16> = true;
 template <>
@@ -501,7 +601,11 @@ class OnGrid {
   using Grid = typename detail::GridFor<T>::type;
 
  public:
-  constexpr OnGrid() noexcept = default;
+  /// Zero. A table-resident grid builds its tables here too, so no value
+  /// of it exists before they do.
+  constexpr OnGrid() noexcept {
+    if constexpr (requires { Grid::build_tables(); }) Grid::build_tables();
+  }
   /// Rounds d onto the grid exactly as T's own conversion does.
   OnGrid(double d) noexcept : v_(Grid::round(d)) {}
   OnGrid(int i) noexcept : OnGrid(static_cast<double>(i)) {}
@@ -540,11 +644,9 @@ class OnGrid {
  private:
   using Value = typename Grid::Value;
 
-  [[nodiscard]] static OnGrid raw(Value on_grid) noexcept {
-    OnGrid r;
-    r.v_ = on_grid;
-    return r;
-  }
+  struct Raw {};
+  constexpr OnGrid(Raw, Value on_grid) noexcept : v_(on_grid) {}
+  [[nodiscard]] static OnGrid raw(Value on_grid) noexcept { return OnGrid(Raw{}, on_grid); }
 
   Value v_{};
 };

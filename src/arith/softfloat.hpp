@@ -150,26 +150,30 @@ class SoftFloat {
     }
     if (t == 0) return from_bits(static_cast<Storage>(p.neg ? (Storage{1} << (E + M)) : 0));
 
-    Storage be, mf;
+    // The biased exponent stays an int until the overflow test: a double's
+    // exponent reaches 1023, far past what Storage holds.
+    int be;
+    std::uint64_t mf;
     if (t < (1ull << M)) {  // subnormal target
       be = 0;
-      mf = static_cast<Storage>(t);
+      mf = t;
     } else {
-      be = static_cast<Storage>(e_out - kEmin + 1);
-      mf = static_cast<Storage>(t - (1ull << M));
+      be = e_out - kEmin + 1;
+      mf = t - (1ull << M);
     }
     // Overflow handling.
     if constexpr (F == Flavor::ieee) {
-      if (be >= mask(E)) {
+      if (be >= static_cast<int>(mask(E))) {
         const SoftFloat inf = infinity();
         return p.neg ? negate(inf) : inf;
       }
     } else {
       // finite_nan: the very last encoding (all ones) is NaN; anything at or
       // beyond it maps to NaN (OCP OFP8 non-saturating conversion).
-      if (be > mask(E) || (be == mask(E) && mf >= mask(M))) return nan();
+      if (be > static_cast<int>(mask(E)) || (be == static_cast<int>(mask(E)) && mf >= mask(M)))
+        return nan();
     }
-    Storage out = static_cast<Storage>((be << M) | mf);
+    Storage out = static_cast<Storage>((static_cast<std::uint64_t>(be) << M) | mf);
     if (p.neg) out |= static_cast<Storage>(Storage{1} << (E + M));
     return from_bits(out);
   }

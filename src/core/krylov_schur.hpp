@@ -11,11 +11,12 @@
 // Schur form is diagonal and the Schur vectors are the eigenvectors
 // (paper §2.2).
 //
-// float16, bfloat16 and the 16/32/64-bit posits and takums run resident
-// (binary64 up to 32 bits, unpacked at 64): partialschur<T> runs the same
+// Every emulated format runs resident (the encoding byte at 8 bits,
+// binary64 at 16 and 32, unpacked at 64): partialschur<T> runs the same
 // body over OnGrid<T> (arith/on_grid.hpp), with the caller's T operator
 // behind a ResidentOp, and converts q and r back to T at the end. Every
 // step is bit-identical to the body over T itself (tests/test_on_grid.cpp).
+// The T body still serves float32, float64, dd and float128.
 #pragma once
 
 #include <cmath>

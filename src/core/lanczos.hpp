@@ -152,7 +152,8 @@ PartialSchurResult<T> lanczos_core(const Op& a, const PartialSchurOptions& opts)
 /// Symmetric partial eigendecomposition via thick-restart Lanczos.
 /// Options are shared with partialschur(); `which` must be a real ordering
 /// (largest/smallest magnitude or real — all eigenvalues are real here).
-/// Runs resident (OnGrid<T>) for the formats partialschur does.
+/// Runs resident (OnGrid<T>) for every emulated format, as partialschur
+/// does; the body over T serves float32, float64, dd and float128.
 template <typename T, class Op>
 PartialSchurResult<T> lanczos_eigs(const Op& a, const PartialSchurOptions& opts = {}) {
   if constexpr (kGridResident<T>) {

@@ -6,8 +6,9 @@
 // restored to Hessenberg form before the Francis QR sweep.
 //
 // The reflector applications run through the kernel layer
-// (kernels/vector_ops.hpp) as contiguous column dot/axpy operations, so
-// the ≤16-bit formats take the LUT fast paths. The row-wise right/Q
+// (kernels/vector_ops.hpp) as contiguous column dot/axpy operations (over
+// OnGrid<T> in a resident solve, where the 8-bit grid's operations are
+// table lookups themselves). The row-wise right/Q
 // applications are expressed column-by-column; per element the
 // accumulation order (ascending j) is unchanged, and commuting a
 // correctly rounded multiply or folding a negation into the axpy

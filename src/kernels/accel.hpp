@@ -7,9 +7,10 @@
 // precompute, so this header provides three acceleration tiers, selected
 // per scalar type at compile time:
 //
-//  * 8-bit formats (OFP8 E4M3/E5M2, posit8, takum8) — full two-operand
-//    add/mul result tables (256×256 = 64 KiB each) plus a 256-entry double
-//    decode table. One table load replaces a complete emulated operation.
+//  * 8-bit formats (OFP8 E4M3/E5M2, posit8, takum8) — the whole-operation
+//    tables of arith/lut8.hpp (add/mul results, 256×256 = 64 KiB each),
+//    the same copy the 8-bit resident grid reads. One table load replaces
+//    a complete emulated operation.
 //  * 16-bit IEEE-style formats (float16, bfloat16) — a 65536-entry double
 //    decode table turns to_double into a single load; the encode side is
 //    the exact, correctly rounded SoftFloat::from_double.
@@ -18,15 +19,20 @@
 //    encoding-level rounding are TaperedFloat::add_unpacked/mul_unpacked,
 //    i.e. the exact engine itself.
 //
-// Every table entry is produced by the exact engine, so the fast paths are
-// bit-identical by construction; tests/test_kernel_accel.cpp verifies this
-// exhaustively for the 8-bit formats and by decode-exhaustion plus operand
-// sampling for the 16-bit ones.
+// Every table entry equals the exact engine's result (arith/lut8.hpp gives
+// the argument for the 8-bit tables; the 16-bit ones are the engine's own
+// decodes), so the fast paths are bit-identical. tests/test_kernel_accel.cpp
+// verifies this exhaustively for the 8-bit formats and by decode-exhaustion
+// plus operand sampling for the 16-bit ones.
 //
 // Tables are built lazily on first use through a magic static (thread-safe
 // since C++11) and shared by every thread of the experiment engine's pool.
-// set_lut_enabled(false) switches them off at runtime, leaving only the
-// exact reference engines (used by the bit-identity tests).
+// set_lut_enabled(false) switches these kernel paths off at runtime,
+// leaving the exact reference engines (used by the bit-identity tests). It
+// does not reach a resident solve: partialschur/lanczos_eigs of a format
+// with kGridResident (arith/on_grid.hpp) run their dense work on OnGrid<T>,
+// which ignores the switch (the 8-bit grid reads the tables regardless),
+// and only the T operator behind detail::ResidentOp honours it.
 #pragma once
 
 #include <atomic>
@@ -34,6 +40,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "arith/lut8.hpp"
 #include "arith/traits.hpp"
 
 namespace mfla {
@@ -52,6 +59,8 @@ namespace detail {
 }
 
 /// Toggle the LUT fast paths at runtime; returns the previous setting.
+/// Kernels over T only: a resident solve's dense work (OnGrid<T>) ignores
+/// it.
 inline bool set_lut_enabled(bool on) noexcept {
   return detail::lut_flag().exchange(on, std::memory_order_relaxed);
 }
@@ -72,71 +81,6 @@ template <typename T>
     return AccelKind::none;
   }
 }
-
-/// Full operation tables for an 8-bit format: result bits for every
-/// (a, b) operand pair of + and *, plus a 256-entry decode table.
-template <typename T>
-class Lut8 {
- public:
-  using Codec = ScalarCodec<T>;
-  using Storage = typename Codec::Storage;
-  static_assert(Codec::bits == 8);
-
-  [[nodiscard]] static const Lut8& instance() {
-    static const Lut8 lut;
-    return lut;
-  }
-
-  [[nodiscard]] T add(T a, T b) const noexcept {
-    return Codec::from_bits(add_[index(a, b)]);
-  }
-  [[nodiscard]] T mul(T a, T b) const noexcept {
-    return Codec::from_bits(mul_[index(a, b)]);
-  }
-  [[nodiscard]] double decode(Storage bits) const noexcept { return dec_[bits]; }
-
-  // Bit-domain surface for precomputed-offset kernels (kernels/spmv.hpp):
-  // an 8-bit SpMV can hoist `bits(a_k) << 8` out of the inner loop as a
-  // per-nonzero row offset, turning each multiply into mul_at(offset | x).
-  [[nodiscard]] Storage add_bits(Storage a, Storage b) const noexcept {
-    return add_[(static_cast<std::size_t>(a) << 8) | b];
-  }
-  [[nodiscard]] Storage mul_at(std::size_t row_offset_or_bits) const noexcept {
-    return mul_[row_offset_or_bits];
-  }
-  // Raw table bytes for the SELL-8 SpMV (kernels/spmv.hpp). mul is indexed
-  // (a << 8) | b; add_t is the transposed add table, (b << 8) | a, so the
-  // chained operand (the accumulator) lands in the low bits and folds into
-  // the load's addressing mode instead of a dependent shift. add_t is built
-  // as an explicit transpose of add_, never by assuming commutativity.
-  [[nodiscard]] const Storage* add_t_data() const noexcept { return addt_.data(); }
-  [[nodiscard]] const Storage* mul_data() const noexcept { return mul_.data(); }
-
- private:
-  Lut8() : add_(65536), addt_(65536), mul_(65536), dec_(256) {
-    for (unsigned a = 0; a < 256; ++a) {
-      const T ta = Codec::from_bits(static_cast<Storage>(a));
-      dec_[a] = Codec::bits_to_double(static_cast<Storage>(a));
-      for (unsigned b = 0; b < 256; ++b) {
-        const T tb = Codec::from_bits(static_cast<Storage>(b));
-        add_[(a << 8) | b] = Codec::to_bits(ta + tb);
-        mul_[(a << 8) | b] = Codec::to_bits(ta * tb);
-      }
-    }
-    for (unsigned a = 0; a < 256; ++a)
-      for (unsigned b = 0; b < 256; ++b) addt_[(b << 8) | a] = add_[(a << 8) | b];
-  }
-
-  [[nodiscard]] static std::size_t index(T a, T b) noexcept {
-    return (static_cast<std::size_t>(Codec::to_bits(a)) << 8) |
-           static_cast<std::size_t>(Codec::to_bits(b));
-  }
-
-  std::vector<Storage> add_;
-  std::vector<Storage> addt_;
-  std::vector<Storage> mul_;
-  std::vector<double> dec_;
-};
 
 /// Decode tables for a 16-bit format: double per encoding, and for tapered
 /// formats additionally the Unpacked (sign, exponent, significand) that

@@ -238,7 +238,7 @@ void spmv_planned(std::size_t rows, const std::uint32_t* row_ptr, const std::uin
   static_assert(spmv_plan_supported<T>());
   using Codec = ScalarCodec<T>;
   using Storage = typename Codec::Storage;
-  const auto& lut = accel::Lut8<T>::instance();
+  const auto& lut = Lut8<T>::instance();
   const Storage zero_bits = Codec::to_bits(T(0));
   if (sell != nullptr && sell->valid) {
     spmv_sell_bits(lut.mul_data(), lut.add_t_data(), detail::byte_ptr(x), *sell, rows,

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "arith/format_registry.hpp"
 #include "arith/traits.hpp"
@@ -115,6 +116,31 @@ TYPED_TEST(ArithProperty, MonotoneConversion) {
     if (a < b) {
       EXPECT_LE(NumTraits<T>::to_double(ta), NumTraits<T>::to_double(tb))
           << "a=" << a << " b=" << b;
+    }
+  }
+}
+
+// from_double over the whole double range, not only near one: every binade
+// from the smallest subnormal to the largest finite double, four points
+// each. Results must not decrease (an overflow NaN counts as +inf), and a
+// negative input must give the negated result.
+TYPED_TEST(ArithProperty, MonotoneConversionOverTheDoubleRange) {
+  using T = TypeParam;
+  double prev = 0.0;
+  double prev_x = 0.0;
+  for (int e = -1074; e <= 1023; ++e) {
+    for (const double f : {1.0, 1.25, 1.5, 1.75}) {
+      const double x = std::ldexp(f, e);
+      if (x == prev_x) continue;  // the subnormal binades repeat points
+      const double got = NumTraits<T>::to_double(NumTraits<T>::from_double(x));
+      const double key = std::isnan(got) ? std::numeric_limits<double>::infinity() : got;
+      ASSERT_GE(key, prev) << NumTraits<T>::name() << " at " << x << " after " << prev_x;
+      const double neg = NumTraits<T>::to_double(NumTraits<T>::from_double(-x));
+      if (!std::isnan(got)) {
+        ASSERT_EQ(neg, -got) << NumTraits<T>::name() << " at " << -x;
+      }
+      prev = key;
+      prev_x = x;
     }
   }
 }

@@ -152,6 +152,8 @@ TEST(ArnoldiWorkspace, StepsAreAllocationFreeOnGridPosit64) {
 }
 
 TEST(ArnoldiWorkspace, StepsThroughResidentOpAreAllocationFree) {
+  expect_allocation_free_resident_steps<OFP8E4M3>();
+  expect_allocation_free_resident_steps<Posit8>();
   expect_allocation_free_resident_steps<BFloat16>();
   expect_allocation_free_resident_steps<Posit32>();
   expect_allocation_free_resident_steps<Takum64>();
@@ -171,8 +173,11 @@ TEST(ArnoldiWorkspace, AllocationHookIsLive) {
 // ---------------------------------------------------------------------------
 
 /// Digest of everything partialschur produces, in double bit patterns.
+/// With `over_format` the solver body runs over T itself
+/// (detail::partialschur_core<T>), not resident.
 template <typename T>
-Hash128 partialschur_digest(const CsrMatrix<double>& ad, const std::vector<double>& start) {
+Hash128 partialschur_digest(const CsrMatrix<double>& ad, const std::vector<double>& start,
+                            bool over_format = false) {
   const CsrMatrix<T> a = ad.convert<T>();
   PartialSchurOptions opts;
   opts.nev = 6;
@@ -181,7 +186,7 @@ Hash128 partialschur_digest(const CsrMatrix<double>& ad, const std::vector<doubl
   opts.max_restarts = 60;
   opts.start_vector = &start;
   opts.seed = 0xbeef;
-  const auto r = partialschur<T>(a, opts);
+  const auto r = over_format ? detail::partialschur_core<T>(a, opts) : partialschur<T>(a, opts);
   Hasher h;
   h.u64(r.converged ? 1 : 0).u64(r.nconverged).u64(static_cast<std::uint64_t>(r.restarts));
   h.u64(r.matvecs);
@@ -259,9 +264,10 @@ TEST(PartialSchurBitIdentity, MatchesGoldensForWideTaperedFormats) {
   check("t64", partialschur_digest<Takum64>(a, start));
 }
 
-// The LUT fast paths (including the precomputed-offset SpMV the 8-bit
-// formats now take inside CsrMatrix::matvec) must not change a single bit:
-// the same digests must come out with every fast path disabled.
+// The LUT fast paths must not change a single bit. A resident solve reads
+// the tables whatever set_lut_enabled says (the 8-bit grid is the tables),
+// so the reference is the solver body run over T itself with every fast
+// path disabled: the exact engine end to end, SpMV included.
 TEST(PartialSchurBitIdentity, LutOnAndOffAgree) {
   const CsrMatrix<double> a = workspace_matrix();
   const std::vector<double> start = golden_start(a.rows());
@@ -269,8 +275,8 @@ TEST(PartialSchurBitIdentity, LutOnAndOffAgree) {
   const Hash128 on_e4m3 = partialschur_digest<OFP8E4M3>(a, start);
   const Hash128 on_p16 = partialschur_digest<Posit16>(a, start);
   const bool was = kernels::set_lut_enabled(false);
-  const Hash128 off_e4m3 = partialschur_digest<OFP8E4M3>(a, start);
-  const Hash128 off_p16 = partialschur_digest<Posit16>(a, start);
+  const Hash128 off_e4m3 = partialschur_digest<OFP8E4M3>(a, start, true);
+  const Hash128 off_p16 = partialschur_digest<Posit16>(a, start, true);
   kernels::set_lut_enabled(was);
   EXPECT_EQ(on_e4m3, off_e4m3);
   EXPECT_EQ(on_p16, off_p16);

@@ -69,7 +69,7 @@ std::vector<T> random_vec(std::size_t n, std::uint64_t seed) {
 template <typename T>
 void check_lut8_exhaustive() {
   using Codec = ScalarCodec<T>;
-  const auto& lut = kernels::accel::Lut8<T>::instance();
+  const auto& lut = Lut8<T>::instance();
   for (unsigned a = 0; a < 256; ++a) {
     const T ta = Codec::from_bits(static_cast<typename Codec::Storage>(a));
     ASSERT_TRUE(same_double_bits(lut.decode(static_cast<typename Codec::Storage>(a)),
@@ -260,12 +260,12 @@ TEST(KernelSimd, CapsConsistent) {
   EXPECT_STREQ(kernels::simd_caps().isa, "scalar");
 }
 
-/// The transposed add table the SELL-8 kernel reads:
-/// add_t[(b << 8) | a] == add(a, b) for every operand pair, never assuming
-/// the format's addition commutes.
+/// The add table as the SELL-8 kernel indexes it, (b << 8) | a:
+/// add_t[(b << 8) | a] == add(a, b) for every operand pair. The table is
+/// built symmetric; Lut8Exhaustive* check both orders against the engine.
 template <typename T>
 void check_add_transpose() {
-  const auto& lut = kernels::accel::Lut8<T>::instance();
+  const auto& lut = Lut8<T>::instance();
   const std::uint8_t* addt = lut.add_t_data();
   for (std::size_t a = 0; a < 256; ++a)
     for (std::size_t b = 0; b < 256; ++b)
@@ -339,7 +339,7 @@ TEST(KernelSimd, SellPlanLayoutAndPadding) {
 TEST(KernelSimd, SellSpmvMatchesPlannedScalar) {
   using T = Takum8;
   using Codec = ScalarCodec<T>;
-  const auto& lut = kernels::accel::Lut8<T>::instance();
+  const auto& lut = Lut8<T>::instance();
   Rng rng("sell_spmv", 1);
   // Irregular matrix: row r has r % 5 nonzeros (some rows empty), 40 rows.
   const std::size_t rows = 40, cols = 23;

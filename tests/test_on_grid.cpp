@@ -1,10 +1,11 @@
 // Oracle tests for the resident arithmetic (arith/on_grid.hpp): the exact
 // engines (SoftFloat, TaperedFloat) are the oracle for every format that
-// runs resident. A resident result matches when its double does (16 and 32
-// bits) or when its encoding and its unpacked fields do (64 bits).
+// runs resident. A resident result matches when its encoding does (8 bits),
+// when its double does (16 and 32 bits) or when its encoding and its
+// unpacked fields do (64 bits).
 //
 //  * Rounding: OnGrid<T>(x) equals T::from_double(x) on every grid point
-//    (all 2^16 encodings of the 16-bit formats, sampled plus every binade
+//    (all encodings of the 8- and 16-bit formats, sampled plus every binade
 //    boundary for 32 and 64 bits), on every midpoint and every power of two
 //    between neighbours (the truncated-exponent ties of posits), one
 //    double-ulp either side of each, and on the special doubles.
@@ -13,11 +14,13 @@
 //  * Operations: + - * / and sqrt on boundary x boundary operands and on
 //    10^6 random pairs per operation, plus constructed 32-bit products that
 //    only round-to-odd gets right and constructed 64-bit sums for every
-//    exponent gap and binade. DISABLED_ tests (run in CI) cover all 2^32
-//    pairs of the 16-bit formats and >= 10^8 pairs of the 32- and 64-bit
-//    ones.
+//    exponent gap and binade. All 2^16 pairs of the 8-bit formats run on
+//    tier-1; DISABLED_ tests (run in CI) cover all 2^32 pairs of the 16-bit
+//    formats and >= 10^8 pairs of the 32- and 64-bit ones.
 //  * Predicates: comparisons, abs, negation and is_number on NaR/NaN,
-//    +-0, infinities, the ends of the range and ordinary values.
+//    +-0, infinities, the ends of the range and ordinary values; for the
+//    8-bit formats on every encoding and every pair, with every encoding's
+//    round trip.
 //  * Whole solves: partialschur<T>/lanczos_eigs<T> (resident) against the
 //    solver bodies run over T itself, digest for digest.
 #include <gtest/gtest.h>
@@ -69,12 +72,15 @@ template <typename T>
   return from_encoding<T>(b).to_double();
 }
 
-/// Does the resident value equal the engine's? The double-resident grids
-/// compare the double they hold; the 64-bit grids the encoding and, so the
-/// fields are canonical, the value decoded from the engine's result.
+/// Does the resident value equal the engine's? The 8-bit grids hold the
+/// encoding; the double-resident grids compare the double they hold; the
+/// 64-bit grids the encoding and, so the fields are canonical, the value
+/// decoded from the engine's result.
 template <typename T>
 [[nodiscard]] bool matches(OnGrid<T> got, T want) {
-  if constexpr (width<T>() == 64) {
+  if constexpr (width<T>() == 8) {
+    return got.to_format().bits() == want.bits();
+  } else if constexpr (width<T>() == 64) {
     return got.to_format().bits() == want.bits() && got == OnGrid<T>(want);
   } else {
     return bits_of(got.to_double()) == bits_of(want.to_double());
@@ -141,14 +147,14 @@ void check_between(Tally& tally, double v, double w) {
   }
 }
 
-/// Positive encodings to probe: all of them for 16 bits; for 32/64 bits the
+/// Positive encodings to probe: all of them for 8 and 16 bits; for 32/64 bits the
 /// ends of the range (saturation, truncated exponents), a few around every
 /// binade boundary, and a random sample.
 template <typename T>
 std::vector<std::uint64_t> positive_encodings() {
   constexpr std::uint64_t kTop = std::uint64_t{1} << (width<T>() - 1);  // sign bit
   std::vector<std::uint64_t> out;
-  if constexpr (width<T>() == 16) {
+  if constexpr (width<T>() <= 16) {
     for (std::uint64_t b = 0; b < kTop; ++b) out.push_back(b);
     return out;
   } else {
@@ -273,7 +279,7 @@ std::vector<std::uint64_t> boundary_operands() {
     for (const std::uint64_t q : {p - 1, p, p + 1}) ops.push_back(q & (kTop - 1));
   }
   if constexpr (!NumTraits<T>::tapered) {
-    ops.push_back(T::infinity().bits());
+    if constexpr (T::kFlavor == Flavor::ieee) ops.push_back(T::infinity().bits());
     ops.push_back(T::nan().bits());
     ops.push_back(T::max_finite().bits());
   }
@@ -354,6 +360,8 @@ TEST(OnGridRoundToOdd, Takum32ProductsOnGridTies) { expect_round_to_odd_products
 
 // ---- Predicates -----------------------------------------------------------------
 
+/// For the 8-bit formats every encoding (each NaN/NaR and -0 too), which
+/// must also convert both ways bit for bit.
 template <typename T>
 void expect_predicates_match_engine() {
   std::vector<T> values;
@@ -361,27 +369,38 @@ void expect_predicates_match_engine() {
     values.push_back(x);
     values.push_back(-x);
   };
-  add(T(0));
-  add(T(1));
-  add(T(0.3));
-  add(T(-7.5));
-  add(from_encoding<T>(1));
-  add(from_encoding<T>((std::uint64_t{1} << (width<T>() - 1)) - 1));
-  if constexpr (NumTraits<T>::tapered) {
-    values.push_back(T::nar());
+  if constexpr (width<T>() == 8) {
+    for (std::uint64_t b = 0; b < 256; ++b) values.push_back(from_encoding<T>(b));
   } else {
-    add(T::infinity());
-    add(T::nan());
-    add(T::max_finite());
+    add(T(0));
+    add(T(1));
+    add(T(0.3));
+    add(T(-7.5));
+    add(from_encoding<T>(1));
+    add(from_encoding<T>((std::uint64_t{1} << (width<T>() - 1)) - 1));
+    if constexpr (NumTraits<T>::tapered) {
+      values.push_back(T::nar());
+    } else {
+      add(T::infinity());
+      add(T::nan());
+      add(T::max_finite());
+    }
   }
   Tally tally(NumTraits<T>::name() + " predicates");
   for (const T x : values) {
     const OnGrid<T> gx(x);
-    const auto at = [&](const char* what) { return [&, what] { return what + (" " + hex(x.to_double())); }; };
+    const auto at = [&](const char* what) {
+      return [&, what] { return what + (" " + hex(x.to_double()) + " = " + std::to_string(x.bits())); };
+    };
+    if constexpr (width<T>() == 8) {
+      tally.check(gx.to_format().bits() == x.bits(), at("round trip"));
+      tally.check(bits_of(gx.to_double()) == bits_of(x.to_double()), at("to_double"));
+    }
     tally.check(is_number(gx) == is_number(x), at("is_number"));
     tally.check(matches(abs(gx), abs(x)), at("abs"));
     tally.check(matches(-gx, -x), at("negate"));
-    if constexpr (width<T>() < 64)
+    // The double-resident grids hold one NaN; the byte grid keeps T's bits.
+    if constexpr (width<T>() > 8 && width<T>() < 64)
       tally.check((-gx).to_format().bits() == T::from_double((-x).to_double()).bits(), at("negate bits"));
     for (const T y : values) {
       const OnGrid<T> gy(y);
@@ -513,13 +532,13 @@ TEST(OnGridSums64, Posit64GapsCarriesAndFallbackBinades) { expect_sums_64<Posit6
 
 TEST(OnGridSums64, Takum64GapsCarriesAndFallbackBinades) { expect_sums_64<Takum64>(); }
 
-// ---- The eight resident formats ---------------------------------------------------
+// ---- The resident formats ---------------------------------------------------------
 
 template <typename T>
 class OnGridFormat : public ::testing::Test {};
 
-using ResidentFormats =
-    ::testing::Types<Float16, BFloat16, Posit16, Takum16, Posit32, Takum32, Posit64, Takum64>;
+using ResidentFormats = ::testing::Types<OFP8E4M3, OFP8E5M2, Posit8, Takum8, Float16, BFloat16,
+                                         Posit16, Takum16, Posit32, Takum32, Posit64, Takum64>;
 
 struct FormatName {
   template <typename T>
@@ -678,6 +697,16 @@ void expect_sampled(std::uint64_t pairs, unsigned threads) {
 }
 
 [[nodiscard]] unsigned oracle_threads() { return std::max(1u, std::thread::hardware_concurrency()); }
+
+// The 8-bit formats are small enough to check exhaustively on tier-1: all
+// 2^16 pairs of + - * / and sqrt of every encoding. Their predicates run
+// on every encoding and pair in OnGridFormat/*.PredicatesMatchExactEngine.
+TEST(OnGridOracle, OnGrid8AllPairs) {
+  expect_all_pairs<OFP8E4M3>(oracle_threads());
+  expect_all_pairs<OFP8E5M2>(oracle_threads());
+  expect_all_pairs<Posit8>(oracle_threads());
+  expect_all_pairs<Takum8>(oracle_threads());
+}
 
 // All 2^32 operand pairs per operation of the four 16-bit formats: minutes
 // of CPU, so disabled on tier-1 and run in CI with

@@ -187,6 +187,36 @@ TEST(SoftFloatSpecial, E5M2OverflowMakesInf) {
   EXPECT_TRUE((OFP8E5M2(57344.0) + OFP8E5M2(57344.0)).is_inf());
 }
 
+// A double's exponent reaches 1023, far beyond what an 8-bit encoding's
+// exponent field holds: every finite magnitude above the largest binade
+// must overflow (to inf, or NaN for E4M3), never wrap to a small value.
+template <typename T>
+void expect_overflow_beyond_range() {
+  for (int e = T::kEmax + 1; e <= 1023; ++e) {
+    for (const double f : {1.0, 1.5, 1.75}) {
+      for (const double x : {std::ldexp(f, e), -std::ldexp(f, e)}) {
+        const T t = T::from_double(x);
+        if constexpr (T::kFlavor == Flavor::ieee) {
+          EXPECT_TRUE(t.is_inf() && t.signbit() == (x < 0)) << NumTraits<T>::name() << " " << x;
+        } else {
+          EXPECT_TRUE(t.is_nan()) << NumTraits<T>::name() << " " << x;
+        }
+        EXPECT_TRUE(conversion_loses_value<T>(x)) << NumTraits<T>::name() << " " << x;
+      }
+    }
+  }
+}
+
+TEST(SoftFloatSpecial, HugeExponentsOverflowInsteadOfWrapping) {
+  EXPECT_TRUE(OFP8E4M3::from_double(0x1p250).is_nan());
+  EXPECT_TRUE(OFP8E4M3::from_double(0x1p249).is_nan());
+  EXPECT_TRUE(OFP8E5M2::from_double(0x1p241).is_inf());
+  expect_overflow_beyond_range<OFP8E4M3>();
+  expect_overflow_beyond_range<OFP8E5M2>();
+  expect_overflow_beyond_range<Float16>();
+  expect_overflow_beyond_range<BFloat16>();
+}
+
 TEST(SoftFloatSpecial, UnderflowToZero) {
   EXPECT_TRUE(OFP8E4M3(1e-10).is_zero());
   EXPECT_TRUE(Float16(1e-30).is_zero());
