@@ -2,12 +2,16 @@
 // axpy, sparse matvec, full Arnoldi step) per format and problem size.
 // The 8-bit rows put the kernels' table path over T next to the
 // table-resident OnGrid<T> the solvers run their dense work in.
+// BM_SpMV times CsrMatrix<T>::matvec over T, which only direct callers and
+// operators applied in T run; BM_ResidentSpMV times the matvec a resident
+// solve runs: detail::ResidentOp over OnGrid<T>, the values on the grid.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
 #include "arith/on_grid.hpp"
 #include "core/arnoldi.hpp"
+#include "core/krylov_schur.hpp"
 #include "kernels/vector_ops.hpp"
 #include "graph/generators.hpp"
 #include "graph/laplacian.hpp"
@@ -76,6 +80,22 @@ void BM_SpMV(benchmark::State& state) {
 }
 
 template <typename T>
+void BM_ResidentSpMV(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto a = bench_matrix<T>(n);
+  const detail::ResidentOp<T, CsrMatrix<T>> op(a, PartialSchurOptions{});
+  std::vector<OnGrid<T>> x;
+  for (const T v : random_vec<T>(a.rows(), 5)) x.emplace_back(v);
+  std::vector<OnGrid<T>> y(a.rows());
+  for (auto _ : state) {
+    op.matvec(x.data(), y.data());
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(a.nnz()));
+}
+
+template <typename T>
 void BM_ArnoldiStep(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto a = bench_matrix<T>(n);
@@ -116,5 +136,10 @@ MFLA_KERNEL_BENCH(Takum16);
 MFLA_KERNEL_BENCH(Posit32);
 MFLA_KERNEL_BENCH(Takum32);
 MFLA_KERNEL_BENCH(Quad);
+BENCHMARK_TEMPLATE(BM_ResidentSpMV, BFloat16)->Arg(512);
+BENCHMARK_TEMPLATE(BM_ResidentSpMV, Posit16)->Arg(512);
+BENCHMARK_TEMPLATE(BM_ResidentSpMV, Posit32)->Arg(512);
+BENCHMARK_TEMPLATE(BM_ResidentSpMV, Takum32)->Arg(512);
+BENCHMARK_TEMPLATE(BM_ResidentSpMV, Posit64)->Arg(512);
 
 }  // namespace

@@ -23,8 +23,8 @@
 // and tests/test_on_grid.cpp check every entry against the exact engine.
 //
 // One copy serves two readers: the 8-bit resident grid (arith/on_grid.hpp),
-// which runs every operation of a solve on the encoding byte, and the
-// kernels' T paths (kernels/accel.hpp, the SELL-8 SpMV in kernels/spmv.hpp).
+// which runs every operation of a solve on the encoding byte, SpMV
+// included, and the kernels' T paths (kernels/accel.hpp).
 //
 // The tables sit in zero-filled static storage, so a format's pages cost
 // memory only once they are written. The first Lut8<T>::instance() (a
@@ -86,22 +86,6 @@ class Lut8 {
   [[nodiscard]] T add(T a, T b) const noexcept { return Codec::from_bits(d().add[index(a, b)]); }
   [[nodiscard]] T mul(T a, T b) const noexcept { return Codec::from_bits(d().mul[index(a, b)]); }
   [[nodiscard]] double decode(Storage bits) const noexcept { return d().dec[bits]; }
-
-  // Bit-domain surface for precomputed-offset kernels (kernels/spmv.hpp):
-  // an 8-bit SpMV can hoist `bits(a_k) << 8` out of the inner loop as a
-  // per-nonzero row offset, turning each multiply into mul_at(offset | x).
-  [[nodiscard]] Storage add_bits(Storage a, Storage b) const noexcept {
-    return d().add[detail::lut8_index(a, b)];
-  }
-  [[nodiscard]] Storage mul_at(std::size_t row_offset_or_bits) const noexcept {
-    return d().mul[row_offset_or_bits];
-  }
-  // Raw table bytes for the SELL-8 SpMV (kernels/spmv.hpp): mul indexed
-  // (a << 8) | b, add_t indexed (b << 8) | a, so a chained operand (an
-  // accumulator) lands in the low bits. The + table is symmetric, so it
-  // is its own transpose.
-  [[nodiscard]] const Storage* add_t_data() const noexcept { return d().add.data(); }
-  [[nodiscard]] const Storage* mul_data() const noexcept { return d().mul.data(); }
 
  private:
   Lut8() noexcept {

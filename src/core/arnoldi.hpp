@@ -1,5 +1,5 @@
-// Arnoldi expansion with iterated classical Gram–Schmidt (DGKS criterion),
-// the inner loop of the Krylov–Schur solver.
+// Arnoldi expansion with modified Gram–Schmidt, re-passed under the DGKS
+// criterion, the inner loop of the Krylov–Schur solver.
 //
 // Everything runs in the working scalar type T: inner products, norms and
 // the normalization — the paper's subject is precisely how these kernels
@@ -50,9 +50,11 @@ struct ArnoldiWorkspace {
 
 namespace detail {
 
-/// Orthogonalize w against the first `cols` columns of v with iterated CGS
-/// (eta = 1/sqrt(2)); coefficients are accumulated into h[0..cols), which
-/// is (re)initialized here — callers may pass recycled buffers.
+/// Orthogonalize w against the first `cols` columns of v with modified
+/// Gram–Schmidt (one dot, then one axpy, per column), repeated up to three
+/// passes while the DGKS test (eta = 1/sqrt(2)) asks for another;
+/// coefficients are accumulated into h[0..cols), which is (re)initialized
+/// here — callers may pass recycled buffers.
 /// Returns the norm of the orthogonalized w (in T), or NaR/NaN on failure.
 template <typename T>
 T orthogonalize(const DenseMatrix<T>& v, std::size_t cols, T* w, T* h, T norm_before) {

@@ -13,10 +13,14 @@
 //
 // Every emulated format runs resident (the encoding byte at 8 bits,
 // binary64 at 16 and 32, unpacked at 64): partialschur<T> runs the same
-// body over OnGrid<T> (arith/on_grid.hpp), with the caller's T operator
-// behind a ResidentOp, and converts q and r back to T at the end. Every
-// step is bit-identical to the body over T itself (tests/test_on_grid.cpp).
-// The T body still serves float32, float64, dd and float128.
+// body over OnGrid<T> (arith/on_grid.hpp), with the caller's operator
+// behind a ResidentOp, and converts q and r back to T at the end. A
+// CsrMatrix<T> is applied on the grid too (its values converted once per
+// solve), so no step of a CSR solve runs T's own arithmetic and
+// kernels::set_lut_enabled reaches none of it; any other operator is
+// applied in T. Every step is bit-identical to the body over T itself
+// (tests/test_on_grid.cpp). The T body still serves float32, float64, dd
+// and float128.
 #pragma once
 
 #include <cmath>
@@ -32,6 +36,7 @@
 #include "dense/hessenberg.hpp"
 #include "dense/schur.hpp"
 #include "dense/schur_reorder.hpp"
+#include "sparse/csr.hpp"
 
 namespace mfla {
 
@@ -156,7 +161,8 @@ template <typename T>
   return {};
 }
 
-/// The caller's operator on T seen from a solve resident in OnGrid<T>:
+/// The caller's operator on T seen from a solve resident in OnGrid<T>.
+/// A foreign operator (any Op but CsrMatrix<T>, e.g. e2ebench's TimingOp):
 /// matvec converts x to T (exact), applies the operator and reads y back
 /// (exact). Its scratch is sized once per solve, so matvec allocates
 /// nothing. The T copy of x mirrors the basis layout: x lands at the same
@@ -193,6 +199,31 @@ class ResidentOp {
   mutable DenseMatrix<T> x_;
   mutable std::vector<T> y_;
   mutable std::uintptr_t base_ = 0;  // x of the first call: column 0
+};
+
+/// A CsrMatrix<T> seen from a resident solve: its values are converted to
+/// the grid once (exact), row_ptr and col_idx are the matrix's own, and
+/// matvec runs the T kernel's loop over OnGrid<T> in the same order (row
+/// by row, ascending k, from zero), so every y is bit-identical to
+/// CsrMatrix<T>::matvec. matvec allocates nothing.
+template <typename T>
+class ResidentOp<T, CsrMatrix<T>> {
+ public:
+  ResidentOp(const CsrMatrix<T>& a, const PartialSchurOptions& /*opts*/) : a_(a) {
+    values_.reserve(a.nnz());
+    for (const T& v : a.values()) values_.emplace_back(v);
+  }
+
+  [[nodiscard]] std::size_t rows() const noexcept { return a_.rows(); }
+
+  void matvec(const OnGrid<T>* x, OnGrid<T>* y) const noexcept {
+    kernels::detail::spmv_impl(a_.rows(), a_.row_ptr().data(), a_.col_idx().data(),
+                               values_.data(), x, y, kernels::accel::NativeOps<OnGrid<T>>{});
+  }
+
+ private:
+  const CsrMatrix<T>& a_;
+  std::vector<OnGrid<T>> values_;
 };
 
 /// A resident solve's result in T (q and r convert exactly).

@@ -2,10 +2,11 @@
 // to partialschur(), analogous to ARPACK's dsaupd next to dnaupd.
 //
 // Maintains A V_k = V_k D_k + v_k b_k^T with D_k diagonal; expansion uses
-// the three-term recurrence plus full reorthogonalization (iterated CGS,
-// same kernel as the Arnoldi path — low-precision Lanczos without
-// reorthogonalization loses orthogonality immediately, which would
-// confound the format comparison). The projected matrix after a restart is
+// the three-term recurrence plus full reorthogonalization (modified
+// Gram–Schmidt re-passed under the DGKS test, the same kernel as the
+// Arnoldi path — low-precision Lanczos without reorthogonalization loses
+// orthogonality immediately, which would confound the format comparison).
+// The projected matrix after a restart is
 // diagonal-plus-arrowhead-plus-tridiagonal; its eigendecomposition uses
 // the Jacobi kernel (robust at restart dimensions).
 #pragma once

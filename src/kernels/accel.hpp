@@ -30,9 +30,11 @@
 // set_lut_enabled(false) switches these kernel paths off at runtime,
 // leaving the exact reference engines (used by the bit-identity tests). It
 // does not reach a resident solve: partialschur/lanczos_eigs of a format
-// with kGridResident (arith/on_grid.hpp) run their dense work on OnGrid<T>,
-// which ignores the switch (the 8-bit grid reads the tables regardless),
-// and only the T operator behind detail::ResidentOp honours it.
+// with kGridResident (arith/on_grid.hpp) run their dense work and the SpMV
+// of a CsrMatrix<T> on OnGrid<T>, which ignores the switch (the 8-bit grid
+// reads the tables regardless), so no CSR solve reads it. Only an operator
+// the solver applies in T (detail::ResidentOp's foreign branch, e.g.
+// e2ebench's TimingOp) and direct kernel calls over T honour it.
 #pragma once
 
 #include <atomic>
@@ -59,8 +61,8 @@ namespace detail {
 }
 
 /// Toggle the LUT fast paths at runtime; returns the previous setting.
-/// Kernels over T only: a resident solve's dense work (OnGrid<T>) ignores
-/// it.
+/// Kernels over T only: a resident solve (OnGrid<T>, its CSR SpMV
+/// included) ignores it.
 inline bool set_lut_enabled(bool on) noexcept {
   return detail::lut_flag().exchange(on, std::memory_order_relaxed);
 }

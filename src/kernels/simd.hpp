@@ -1,8 +1,8 @@
 // Provenance report for the 8-bit kernel path.
 //
 // The 8-bit formats run the scalar LUT kernels (kernels/accel.hpp,
-// kernels/vector_ops.hpp) and the SELL-8 SpMV (kernels/spmv.hpp), both
-// plain portable code with no ISA dispatch. Benchmarks still record which
+// kernels/vector_ops.hpp, kernels/spmv.hpp) and the table-resident grid
+// (arith/on_grid.hpp), all plain portable code with no ISA dispatch. Benchmarks still record which
 // instruction set the kernels ran on; this header answers that question,
 // and the answer is always "scalar".
 #pragma once

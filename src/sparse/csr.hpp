@@ -2,7 +2,11 @@
 //
 // The matvec delegates to kernels::spmv, which accumulates in the working
 // format T — this is the central kernel whose low-precision behavior the
-// study measures.
+// study measures. A resident solve of an emulated format does not call it:
+// partialschur/lanczos_eigs apply a CsrMatrix<T> through
+// detail::ResidentOp (core/krylov_schur.hpp), which runs the same loop on
+// the values converted to OnGrid<T>, bit for bit, so set_lut_enabled no
+// longer reaches any CSR solve.
 #pragma once
 
 #include <algorithm>
@@ -36,7 +40,6 @@ class CsrMatrix {
       m.col_idx_.push_back(t.col);
       m.values_.push_back(NumTraits<T>::from_double(t.value));
     }
-    m.rebuild_spmv_plan();
     return m;
   }
 
@@ -46,51 +49,12 @@ class CsrMatrix {
   [[nodiscard]] const std::vector<std::uint32_t>& row_ptr() const noexcept { return row_ptr_; }
   [[nodiscard]] const std::vector<std::uint32_t>& col_idx() const noexcept { return col_idx_; }
   [[nodiscard]] const std::vector<T>& values() const noexcept { return values_; }
-  /// Explicit mutable access (there is deliberately no non-const values():
-  /// a read through it would silently cost the fast path). Mutation drops
-  /// the precomputed SpMV plan — it indexes the operation tables by value
-  /// bits — so matvec takes the generic kernel until rebuild_spmv_plan()
-  /// is called: slower, never incorrect.
-  [[nodiscard]] std::vector<T>& mutable_values() noexcept {
-    spmv_plan_.clear();
-    sell_plan_.clear();
-    return values_;
-  }
+  /// Explicit mutable access to the values (the pattern stays fixed).
+  [[nodiscard]] std::vector<T>& mutable_values() noexcept { return values_; }
 
-  /// Is the precomputed offset plan current? (matvec falls back to the
-  /// generic kernel when it is not — mutable_values() invalidates the
-  /// offset and SELL-8 plans together.)
-  [[nodiscard]] bool has_spmv_plan() const noexcept {
-    return kernels::spmv_plan_supported<T>() && spmv_plan_.size() == values_.size() &&
-           !values_.empty();
-  }
-
-  /// y := A x, accumulated in T. 8-bit formats with a current offset plan
-  /// take the planned LUT kernel — SELL-8 when the matrix admits the
-  /// layout, row at a time otherwise — bit-identical to the generic
-  /// dispatch (kernels/spmv.hpp).
+  /// y := A x, accumulated in T (kernels/spmv.hpp).
   void matvec(const T* x, T* y) const {
-    if constexpr (kernels::spmv_plan_supported<T>()) {
-      if (spmv_plan_.size() == values_.size() && kernels::lut_enabled()) {
-        kernels::spmv_planned(rows_, row_ptr_.data(), col_idx_.data(), spmv_plan_.data(), x, y,
-                              &sell_plan_);
-        return;
-      }
-    }
     kernels::spmv(rows_, row_ptr_.data(), col_idx_.data(), values_.data(), x, y);
-  }
-
-  /// (Re)compute the per-nonzero LUT row offsets and the SELL-8 slice plan
-  /// over them (kernels/spmv.hpp; the plan comes out invalid when the
-  /// matrix does not admit the layout). No-op for formats wider than
-  /// 8 bits. Called by the constructors; call manually after editing
-  /// values() in place.
-  void rebuild_spmv_plan() {
-    if constexpr (kernels::spmv_plan_supported<T>()) {
-      spmv_plan_ = kernels::build_spmv_plan(values_.data(), values_.size());
-      sell_plan_ = kernels::build_sell_plan(rows_, cols_, row_ptr_.data(), col_idx_.data(),
-                                            spmv_plan_.data());
-    }
   }
 
   /// Entry lookup (binary search within the row — col_idx_ is sorted within
@@ -115,7 +79,6 @@ class CsrMatrix {
     for (const T& v : values_) {
       m.values_.push_back(NumTraits<U>::from_double(NumTraits<T>::to_double(v)));
     }
-    m.rebuild_spmv_plan();
     return m;
   }
 
@@ -127,12 +90,6 @@ class CsrMatrix {
   std::vector<std::uint32_t> row_ptr_{0};
   std::vector<std::uint32_t> col_idx_;
   std::vector<T> values_;
-  // Per-nonzero LUT row offsets (8-bit formats only; empty otherwise or
-  // after in-place value mutation). 2 bytes per nonzero.
-  std::vector<std::uint16_t> spmv_plan_;
-  // SELL-8 slice plan over the offsets (kernels/spmv.hpp); invalidated
-  // together with spmv_plan_ by mutable_values().
-  kernels::SellPlan sell_plan_;
 };
 
 /// Does any entry of the (double) matrix fall outside the representable

@@ -6,31 +6,23 @@
 //     all 65536 encodings for every 16-bit format,
 //   * sampled operand pairs through the 16-bit fast-path ops,
 //   * whole kernels (dot/nrm2/axpy/scal/spmv) with LUTs on vs off,
-//   * the SELL-8 SpMV: the transposed add table it reads, its plan's
-//     validity guards and layout, the slice kernel against the row-at-a-time
-//     planned recurrence, and CsrMatrix::matvec against the generic
-//     kernels::spmv whether the matrix admits a SELL-8 plan or not,
-//   * an end-to-end experiment run whose result CSV must be byte-identical
-//     with LUTs on and off.
+//   * the symmetric 8-bit add table the resident grid indexes transposed,
+//   * CsrMatrix::matvec with LUTs on vs off and against kernels::ref::spmv
+//     on raw encodings (NaN/NaR, infinities and -0 among them).
+// Whole solves with the LUTs off are compared against the production
+// (resident) path in tests/test_arnoldi_workspace.cpp.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "api/sweep.hpp"
-#include "core/experiment.hpp"
-#include "core/results_io.hpp"
 #include "graph/generators.hpp"
 #include "graph/laplacian.hpp"
 #include "kernels/accel.hpp"
 #include "kernels/simd.hpp"
-#include "kernels/spmv.hpp"
 #include "kernels/vector_ops.hpp"
 #include "sparse/csr.hpp"
 #include "support/rng.hpp"
@@ -220,11 +212,10 @@ TEST(KernelAccel, KernelsOnOffBFloat16) { check_kernels_on_off<BFloat16>(); }
 TEST(KernelAccel, KernelsOnOffPosit16) { check_kernels_on_off<Posit16>(); }
 TEST(KernelAccel, KernelsOnOffTakum16) { check_kernels_on_off<Takum16>(); }
 
-// -- SELL-8 SpMV ----------------------------------------------------------------
+// -- 8-bit tables and SpMV on raw encodings ------------------------------------
 //
 // These tests keep the KernelSimd suite name they were first registered
-// under, from when they also swept the vector ISA rungs; the scalar SELL-8
-// path they check is now the only one.
+// under, from when they also swept the vector ISA rungs.
 
 /// Raw random encodings — every byte value occurs, so the formats' NaN /
 /// inf / NaR / -0 codes all flow through the kernels.
@@ -260,17 +251,16 @@ TEST(KernelSimd, CapsConsistent) {
   EXPECT_STREQ(kernels::simd_caps().isa, "scalar");
 }
 
-/// The add table as the SELL-8 kernel indexes it, (b << 8) | a:
-/// add_t[(b << 8) | a] == add(a, b) for every operand pair. The table is
-/// built symmetric; Lut8Exhaustive* check both orders against the engine.
+/// The + table is symmetric, add[(a << 8) | b] == add[(b << 8) | a], which
+/// lets the 8-bit resident grid index it (b << 8) | a with an accumulator
+/// in the low byte. Lut8Exhaustive* check one order against the engine.
 template <typename T>
 void check_add_transpose() {
-  const auto& lut = Lut8<T>::instance();
-  const std::uint8_t* addt = lut.add_t_data();
+  (void)Lut8<T>::instance();
+  const auto& add = detail::lut8_data<T>.add;
   for (std::size_t a = 0; a < 256; ++a)
     for (std::size_t b = 0; b < 256; ++b)
-      ASSERT_EQ(addt[(b << 8) | a],
-                lut.add_bits(static_cast<std::uint8_t>(a), static_cast<std::uint8_t>(b)))
+      ASSERT_EQ(add[(b << 8) | a], add[(a << 8) | b])
           << NumTraits<T>::name() << " at (" << a << ", " << b << ")";
 }
 
@@ -279,212 +269,36 @@ TEST(KernelSimd, AddTransposeOFP8E5M2) { check_add_transpose<OFP8E5M2>(); }
 TEST(KernelSimd, AddTransposePosit8) { check_add_transpose<Posit8>(); }
 TEST(KernelSimd, AddTransposeTakum8) { check_add_transpose<Takum8>(); }
 
-TEST(KernelSimd, SellPlanRejectsWideAndSkewed) {
-  // cols beyond 16 bits cannot live in the fused word.
-  const std::uint32_t row_ptr1[] = {0, 1};
-  const std::uint32_t col_idx1[] = {0};
-  const std::uint16_t offsets1[] = {0};
-  EXPECT_FALSE(kernels::build_sell_plan(1, 65537, row_ptr1, col_idx1, offsets1).valid);
-  EXPECT_TRUE(kernels::build_sell_plan(1, 65536, row_ptr1, col_idx1, offsets1).valid);
-  EXPECT_FALSE(kernels::build_sell_plan(0, 4, row_ptr1, col_idx1, offsets1).valid);
-
-  // One 200-nonzero row among 15 empty ones: padding would store 8 * 200
-  // words for 200 nonzeros, past the 4x + 64 blowup guard.
-  std::vector<std::uint32_t> row_ptr(17, 200);
-  row_ptr[0] = 0;
-  std::vector<std::uint32_t> col_idx(200);
-  std::vector<std::uint16_t> offsets(200);
-  for (std::uint32_t i = 0; i < 200; ++i) col_idx[i] = i;
-  EXPECT_FALSE(kernels::build_sell_plan(16, 256, row_ptr.data(), col_idx.data(), offsets.data())
-                   .valid);
-}
-
-TEST(KernelSimd, SellPlanLayoutAndPadding) {
-  // Ten rows (so two slices, the second partial) with lengths 2,0,3,1,...
-  const std::uint32_t row_ptr[] = {0, 2, 2, 5, 6, 8, 10, 11, 13, 14, 16};
-  const std::size_t rows = 10, nnz = 16;
-  std::vector<std::uint32_t> col_idx(nnz);
-  std::vector<std::uint16_t> offsets(nnz);
-  for (std::size_t k = 0; k < nnz; ++k) {
-    col_idx[k] = static_cast<std::uint32_t>(k % 7);
-    offsets[k] = static_cast<std::uint16_t>((k * 37) << 8);
-  }
-  const kernels::SellPlan p =
-      kernels::build_sell_plan(rows, 7, row_ptr, col_idx.data(), offsets.data());
-  ASSERT_TRUE(p.valid);
-  ASSERT_EQ(p.slices.size(), 2u);
-  EXPECT_EQ(p.slices[0].maxl, 3u);  // longest of rows 0..7
-  EXPECT_EQ(p.slices[0].len[1], 0u);
-  EXPECT_EQ(p.slices[1].len[2], 0u);  // past the last row
-  ASSERT_EQ(p.fused.size(), 8u * p.slices[0].maxl + 8u * p.slices[1].maxl);
-  for (std::size_t si = 0; si < p.slices.size(); ++si) {
-    const auto& s = p.slices[si];
-    for (std::size_t c = 0; c < 8; ++c) {
-      for (std::uint32_t t = 0; t < s.maxl; ++t) {
-        const std::uint32_t word = p.fused[s.base + 8 * t + c];
-        if (s.len[c] == 0) {
-          EXPECT_EQ(word, 0u) << "empty row slice " << si << " lane " << c;
-          continue;
-        }
-        // Pad entries replicate the row's last real nonzero.
-        const std::uint32_t k =
-            row_ptr[si * 8 + c] + (t < s.len[c] ? t : s.len[c] - 1);
-        EXPECT_EQ(word, (static_cast<std::uint32_t>(offsets[k]) << 16) | col_idx[k])
-            << "slice " << si << " lane " << c << " t=" << t;
-      }
-    }
-  }
-}
-
-TEST(KernelSimd, SellSpmvMatchesPlannedScalar) {
-  using T = Takum8;
-  using Codec = ScalarCodec<T>;
-  const auto& lut = Lut8<T>::instance();
-  Rng rng("sell_spmv", 1);
-  // Irregular matrix: row r has r % 5 nonzeros (some rows empty), 40 rows.
-  const std::size_t rows = 40, cols = 23;
-  std::vector<std::uint32_t> row_ptr(rows + 1, 0);
-  std::vector<std::uint32_t> col_idx;
-  std::vector<std::uint16_t> offsets;
-  for (std::size_t r = 0; r < rows; ++r) {
-    const std::size_t len = r % 5;
-    for (std::size_t t = 0; t < len; ++t) {
-      col_idx.push_back(static_cast<std::uint32_t>(rng.uniform_index(cols)));
-      offsets.push_back(static_cast<std::uint16_t>((rng.next_u64() & 0xff) << 8));
-    }
-    row_ptr[r + 1] = static_cast<std::uint32_t>(col_idx.size());
-  }
-  const kernels::SellPlan plan =
-      kernels::build_sell_plan(rows, cols, row_ptr.data(), col_idx.data(), offsets.data());
-  ASSERT_TRUE(plan.valid);
-
-  const auto xb = random_bytes(cols, 77);
-  const std::uint8_t zero = Codec::to_bits(T(0));
-  // Scalar planned recurrence, row at a time.
-  std::vector<std::uint8_t> want(rows);
-  for (std::size_t r = 0; r < rows; ++r) {
-    std::size_t acc = zero;
-    for (std::uint32_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-      const std::uint8_t p = lut.mul_data()[offsets[k] | xb[col_idx[k]]];
-      acc = lut.add_t_data()[(static_cast<std::size_t>(p) << 8) + acc];
-    }
-    want[r] = static_cast<std::uint8_t>(acc);
-  }
-  std::vector<std::uint8_t> got(rows, 0xee);
-  kernels::spmv_sell_bits(lut.mul_data(), lut.add_t_data(), xb.data(), plan, rows, got.data(),
-                          zero);
-  for (std::size_t r = 0; r < rows; ++r) ASSERT_EQ(got[r], want[r]) << "row " << r;
-}
-
-/// Does CsrMatrix<T> hold a valid SELL-8 plan? Rebuilt from the public
-/// arrays exactly as rebuild_spmv_plan() builds it; always false when the
-/// format has no offset plan (formats wider than 8 bits).
+/// CsrMatrix::matvec with the LUTs on and off, and kernels::ref::spmv, on
+/// a Laplacian with an empty row every 11 and raw random x encodings.
 template <typename T>
-bool admits_sell_plan(const CsrMatrix<T>& a) {
-  if constexpr (kernels::spmv_plan_supported<T>()) {
-    const auto offsets = kernels::build_spmv_plan(a.values().data(), a.nnz());
-    return kernels::build_sell_plan(a.rows(), a.cols(), a.row_ptr().data(), a.col_idx().data(),
-                                    offsets.data())
-        .valid;
-  } else {
-    return false;
-  }
-}
-
-/// matvec (planned: SELL-8 here) against the generic kernels::spmv on a
-/// Laplacian with an empty row every 11, on raw random x encodings.
-template <typename T>
-void check_sell_matvec_matches_spmv() {
-  Rng rng("sell_matvec", 1);
+void check_matvec_on_off() {
+  Rng rng("matvec_on_off", 1);
   const CooMatrix lap = graph_laplacian_pipeline(erdos_renyi(97, 6.0 / 97.0, rng));
   CooMatrix pruned(lap.rows(), lap.cols());
   for (const auto& t : lap.triplets())
     if (t.row % 11 != 5) pruned.add(t.row, t.col, t.value);
   const auto a = CsrMatrix<double>::from_coo(pruned).convert<T>();
-  if constexpr (kernels::spmv_plan_supported<T>()) {
-    ASSERT_TRUE(admits_sell_plan(a));
-  }
   const auto x = from_bytes<T>(random_bytes(a.cols(), 42));
-  std::vector<T> y(a.rows()), want(a.rows());
-  a.matvec(x.data(), y.data());
-  kernels::spmv(a.rows(), a.row_ptr().data(), a.col_idx().data(), a.values().data(), x.data(),
-                want.data());
-  expect_same_bits(y, want, "matvec vs spmv");
-}
-
-TEST(KernelSimd, SpmvOnOffOFP8E4M3) { check_sell_matvec_matches_spmv<OFP8E4M3>(); }
-TEST(KernelSimd, SpmvOnOffOFP8E5M2) { check_sell_matvec_matches_spmv<OFP8E5M2>(); }
-TEST(KernelSimd, SpmvOnOffPosit8) { check_sell_matvec_matches_spmv<Posit8>(); }
-TEST(KernelSimd, SpmvOnOffTakum8) { check_sell_matvec_matches_spmv<Takum8>(); }
-
-TEST(KernelAccel, MatvecWithRejectedSellPlanMatchesSpmv) {
-  // A 128-row matrix whose first row is dense and every other row holds
-  // only its diagonal: SELL-8 padding would store 8 * 128 words for the
-  // first slice alone, past the plan's 4x + 64 guard, so matvec takes the
-  // row-at-a-time planned loop.
-  using T = Posit8;
-  const std::uint32_t n = 128;
-  Rng rng("rejected_sell", 1);
-  CooMatrix coo(n, n);
-  for (std::uint32_t c = 0; c < n; ++c) coo.add(0, c, rng.normal());
-  for (std::uint32_t r = 1; r < n; ++r) coo.add(r, r, rng.normal());
-  const auto a = CsrMatrix<double>::from_coo(coo).convert<T>();
-  ASSERT_FALSE(admits_sell_plan(a));
-  ASSERT_EQ(a.has_spmv_plan(), kernels::spmv_plan_supported<T>());
-  const auto x = from_bytes<T>(random_bytes(a.cols(), 43));
-  std::vector<T> y(a.rows()), want(a.rows()), exact(a.rows());
-  a.matvec(x.data(), y.data());
-  kernels::spmv(a.rows(), a.row_ptr().data(), a.col_idx().data(), a.values().data(), x.data(),
-                want.data());
+  std::vector<T> on(a.rows()), off(a.rows()), exact(a.rows());
+  {
+    LutGuard lut(true);
+    a.matvec(x.data(), on.data());
+  }
+  {
+    LutGuard lut(false);
+    a.matvec(x.data(), off.data());
+  }
   kernels::ref::spmv(a.rows(), a.row_ptr().data(), a.col_idx().data(), a.values().data(),
                      x.data(), exact.data());
-  expect_same_bits(y, want, "matvec vs spmv");
-  expect_same_bits(y, exact, "matvec vs ref::spmv");
+  expect_same_bits(on, off, "matvec LUT on vs off");
+  expect_same_bits(on, exact, "matvec vs ref::spmv");
 }
 
-// -- End to end: experiment CSVs byte-identical, LUT on vs off --------------
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "cannot open " << path;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
-TEST(KernelAccel, ExperimentCsvByteIdenticalLutOnOff) {
-  std::vector<TestMatrix> ds;
-  Rng r1(9001), r2(9002);
-  ds.push_back(make_test_matrix("accel_er", "social", "soc",
-                                graph_laplacian_pipeline(erdos_renyi(40, 0.16, r1))));
-  ds.push_back(make_test_matrix("accel_sbm", "social", "soc",
-                                graph_laplacian_pipeline(stochastic_block(44, 2, 0.35, 0.07, r2))));
-  const std::vector<FormatId> formats = {
-      FormatId::ofp8_e4m3, FormatId::ofp8_e5m2, FormatId::posit8,  FormatId::takum8,
-      FormatId::float16,   FormatId::bfloat16,  FormatId::posit16, FormatId::takum16,
-      FormatId::float64,
-  };
-  ExperimentConfig cfg;
-  cfg.nev = 4;
-  cfg.buffer = 2;
-  cfg.max_restarts = 40;
-  cfg.reference_max_restarts = 150;
-
-  const auto run_to_csv = [&](bool lut_on, const std::string& tag) {
-    LutGuard lut(lut_on);
-    const auto results = api::Sweep::over(ds).formats(formats).config(cfg).run().results;
-    const std::string path = "test_out/kernel_accel_" + tag + ".csv";
-    write_results_csv(path, results);
-    std::string data = slurp(path);
-    std::remove(path.c_str());
-    return data;
-  };
-
-  const std::string csv_on = run_to_csv(true, "on");
-  const std::string csv_off = run_to_csv(false, "off");
-  EXPECT_FALSE(csv_on.empty());
-  EXPECT_EQ(csv_on, csv_off);
-}
+TEST(KernelSimd, SpmvOnOffOFP8E4M3) { check_matvec_on_off<OFP8E4M3>(); }
+TEST(KernelSimd, SpmvOnOffOFP8E5M2) { check_matvec_on_off<OFP8E5M2>(); }
+TEST(KernelSimd, SpmvOnOffPosit8) { check_matvec_on_off<Posit8>(); }
+TEST(KernelSimd, SpmvOnOffTakum8) { check_matvec_on_off<Takum8>(); }
 
 }  // namespace
 }  // namespace mfla

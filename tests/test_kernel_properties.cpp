@@ -8,10 +8,9 @@
 // The acceleration tier may only change how a result is found, never what
 // is computed; this suite is the pairwise enforcement of that contract one
 // level above the exhaustive per-table tests (test_kernel_accel.cpp).
-// The 8-bit formats also run the planned SpMV (offset plan, with and
-// without its SELL-8 slice plan) against the same reference. Results are
-// compared by object representation (memcmp), so NaN payloads and -0.0
-// count.
+// Results are compared by object representation (memcmp), so NaN payloads
+// and -0.0 count. (The resident SpMV over OnGrid<T> has its own oracle in
+// tests/test_on_grid.cpp.)
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -180,19 +179,6 @@ void check_format(int bits) {
       kernels::spmv(s.rows, s.row_ptr.data(), s.col_idx.data(), vals.data(), x.data(),
                     yv.data());
       expect_vec_repr(yv, spmv_ref, std::string("spmv cfg=") + cfg.name);
-    }
-    if constexpr (kernels::spmv_plan_supported<T>()) {
-      const auto offsets = kernels::build_spmv_plan(vals.data(), vals.size());
-      const kernels::SellPlan sell = kernels::build_sell_plan(
-          s.rows, s.cols, s.row_ptr.data(), s.col_idx.data(), offsets.data());
-      ASSERT_TRUE(sell.valid);
-      std::vector<T> yr(s.rows), ys(s.rows);
-      kernels::spmv_planned(s.rows, s.row_ptr.data(), s.col_idx.data(), offsets.data(),
-                            x.data(), yr.data());
-      kernels::spmv_planned(s.rows, s.row_ptr.data(), s.col_idx.data(), offsets.data(),
-                            x.data(), ys.data(), &sell);
-      expect_vec_repr(yr, spmv_ref, "spmv_planned row-at-a-time");
-      expect_vec_repr(ys, spmv_ref, "spmv_planned SELL-8");
     }
   }
 }

@@ -21,6 +21,10 @@
 //    +-0, infinities, the ends of the range and ordinary values; for the
 //    8-bit formats on every encoding and every pair, with every encoding's
 //    round trip.
+//  * SpMV: the resident CSR matvec (detail::ResidentOp over CsrMatrix<T>)
+//    and the T round trip a foreign operator takes, against the exact
+//    engine's kernels::ref::spmv, on a Laplacian and on a hand-built matrix
+//    of empty rows, overflow, underflow, NaN/NaR and -0 products.
 //  * Whole solves: partialschur<T>/lanczos_eigs<T> (resident) against the
 //    solver bodies run over T itself, digest for digest.
 #include <gtest/gtest.h>
@@ -41,6 +45,8 @@
 #include "core/lanczos.hpp"
 #include "datasets/general_corpus.hpp"
 #include "datasets/graph_corpus.hpp"
+#include "graph/generators.hpp"
+#include "graph/laplacian.hpp"
 #include "support/hash.hpp"
 #include "support/rng.hpp"
 
@@ -573,6 +579,105 @@ TYPED_TEST(OnGridFormat, OperationsMatchExactEngine) {
 
 TYPED_TEST(OnGridFormat, PredicatesMatchExactEngine) {
   expect_predicates_match_engine<TypeParam>();
+}
+
+// ---- SpMV -------------------------------------------------------------------------
+
+/// A CsrMatrix<T> behind an operator type of its own, so a resident solve
+/// applies it in T (ResidentOp's foreign branch).
+template <typename T>
+struct ForeignCsr {
+  const CsrMatrix<T>& a;
+  [[nodiscard]] std::size_t rows() const noexcept { return a.rows(); }
+  void matvec(const T* x, T* y) const { a.matvec(x, y); }
+};
+
+/// y = A x through both ResidentOp branches against kernels::ref::spmv.
+template <typename T>
+void expect_spmv_matches_engine(const CsrMatrix<T>& a, const std::vector<T>& x,
+                                const std::string& what) {
+  const std::size_t n = a.rows();
+  std::vector<T> want(n);
+  kernels::ref::spmv(n, a.row_ptr().data(), a.col_idx().data(), a.values().data(), x.data(),
+                     want.data());
+  std::vector<OnGrid<T>> xg;
+  for (const T v : x) xg.emplace_back(v);
+  const PartialSchurOptions opts;
+  const detail::ResidentOp<T, CsrMatrix<T>> resident(a, opts);
+  const ForeignCsr<T> foreign_csr{a};
+  const detail::ResidentOp<T, ForeignCsr<T>> foreign(foreign_csr, opts);
+  for (const bool csr : {true, false}) {
+    std::vector<OnGrid<T>> y(n);
+    if (csr) {
+      resident.matvec(xg.data(), y.data());
+    } else {
+      foreign.matvec(xg.data(), y.data());
+    }
+    Tally tally(NumTraits<T>::name() + " " + what + (csr ? " resident CSR" : " foreign operator"));
+    for (std::size_t i = 0; i < n; ++i)
+      tally.check(matches(y[i], want[i]), [&] {
+        return "row " + std::to_string(i) + ": " + hex(y[i].to_double()) + ", exact engine " +
+               hex(want[i].to_double());
+      });
+  }
+}
+
+/// The Laplacian of ArnoldiWorkspace's tests (n = 48) on random values and
+/// on raw random encodings (NaN/NaR, infinities and -0 among them).
+template <typename T>
+void expect_laplacian_spmv() {
+  Rng gr(0x60a1);
+  const CsrMatrix<T> a =
+      CsrMatrix<double>::from_coo(graph_laplacian_pipeline(erdos_renyi(48, 0.18, gr)))
+          .template convert<T>();
+  SplitMix64 sm(0x5b3f);
+  Rng rng(0x5b3f);
+  std::vector<T> values(a.cols()), encodings(a.cols());
+  for (std::size_t i = 0; i < a.cols(); ++i) {
+    values[i] = T::from_double(rng.normal());
+    encodings[i] = from_encoding<T>(sm.next() & mask<T>());
+  }
+  expect_spmv_matches_engine(a, values, "laplacian, random values");
+  expect_spmv_matches_engine(a, encodings, "laplacian, random encodings");
+}
+
+/// Rows that reach the ends of T's range: empty rows (first, middle, last),
+/// maxpos x maxpos, minpos x minpos, sums past maxpos, maxpos - maxpos
+/// products, and -0 products (IEEE) or a NaR operand (tapered).
+template <typename T>
+void expect_edge_spmv() {
+  constexpr std::uint64_t kTop = std::uint64_t{1} << (width<T>() - 1);
+  std::uint64_t top = kTop - 1;
+  while (!std::isfinite(value_of<T>(top))) --top;
+  const T maxpos = from_encoding<T>(top), minpos = from_encoding<T>(1);
+  const T one = T::from_double(1.0);
+  // IEEE: -0; tapered: NaR (both the sign-bit-only encoding).
+  const T special = from_encoding<T>(kTop);
+  const std::vector<T> x = {maxpos,  minpos, one, -maxpos, special, -minpos, T::from_double(0.75),
+                            T::from_double(-2.5), T::from_double(3.0)};
+  struct Entry {
+    std::uint32_t row, col;
+    T value;
+  };
+  const std::vector<Entry> entries = {
+      {1, 0, maxpos},                                                    // maxpos x maxpos
+      {2, 1, minpos},  {2, 5, minpos},                                   // minpos x +-minpos
+      {3, 0, one},     {3, 2, maxpos}, {3, 6, maxpos},                   // sum past maxpos
+      {4, 2, special}, {4, 4, one},    {4, 5, minpos},                   // -0 / NaR products
+      {6, 0, maxpos},  {6, 3, maxpos},                                   // maxpos^2 - maxpos^2
+      {7, 0, minpos},  {7, 1, maxpos}, {7, 3, one},    {7, 6, -maxpos},  // mixed
+      {7, 7, T::from_double(0.375)}, {7, 8, one}};
+  CooMatrix coo(x.size(), x.size());  // rows 0, 5 and 8 stay empty
+  for (const Entry& e : entries) coo.add(e.row, e.col, 1.0);
+  CsrMatrix<T> a = CsrMatrix<double>::from_coo(coo).template convert<T>();
+  ASSERT_EQ(a.nnz(), entries.size());
+  for (std::size_t k = 0; k < entries.size(); ++k) a.mutable_values()[k] = entries[k].value;
+  expect_spmv_matches_engine(a, x, "edge rows");
+}
+
+TYPED_TEST(OnGridFormat, SpmvMatchesExactEngine) {
+  expect_laplacian_spmv<TypeParam>();
+  expect_edge_spmv<TypeParam>();
 }
 
 // ---- Whole solves -----------------------------------------------------------------

@@ -127,48 +127,32 @@ TEST(Csr, ConvertChangesFormatNotPattern) {
   EXPECT_GT(p.at(1, 1).to_double(), 5e9);
 }
 
-TEST(Csr, MutableValuesInvalidatesPlannedPaths) {
-  // mutable_values() must drop ALL precomputed plans together (the
-  // per-nonzero offset plan and the SELL-8 slice plan behind it): a stale
-  // plan indexes the operation tables by the old value bits, so matvec
-  // would silently compute with the pre-edit matrix. A 40-row matrix gives
-  // the SELL-8 plan multiple slices.
+TEST(Csr, MutableValuesReachMatvec) {
+  // An edit through mutable_values() must reach the next matvec: nothing
+  // derived from the old values may survive it.
   CooMatrix coo(40, 40);
   Rng rng("mutable_values", 0);
   for (std::uint32_t r = 0; r < 40; ++r)
     for (std::uint32_t c = 0; c < 40; ++c)
       if (r == c || rng.uniform() < 0.08) coo.add(r, c, rng.normal());
   auto a = CsrMatrix<double>::from_coo(coo).convert<Posit8>();
-  // No plans exist when the LUTs are compiled out; the matvec checks below
-  // still hold.
-  const bool planned = kernels::spmv_plan_supported<Posit8>();
-  ASSERT_EQ(a.has_spmv_plan(), planned);
 
   std::vector<Posit8> x;
   for (std::size_t i = 0; i < a.cols(); ++i)
-    x.push_back(NumTraits<Posit8>::from_double(rng.normal()));
+    x.push_back(NumTraits<Posit8>::from_double(i == a.col_idx()[0] ? 1.0 : rng.normal()));
+  std::vector<Posit8> before(a.rows());
+  a.matvec(x.data(), before.data());
 
-  // Edit a value in place: the plans must go stale together.
-  a.mutable_values()[0] = NumTraits<Posit8>::from_double(7.0);
-  EXPECT_FALSE(a.has_spmv_plan());
+  a.mutable_values()[0] = NumTraits<Posit8>::from_double(a.values()[0].to_double() + 7.0);
 
-  // The generic fallback must see the NEW value (bit-compare against the
-  // dispatching kernel on the same arrays).
+  // Bit-compare against the exact engine on the edited arrays; row 0 moved.
   std::vector<Posit8> y(a.rows()), want(a.rows());
   a.matvec(x.data(), y.data());
-  kernels::spmv(a.rows(), a.row_ptr().data(), a.col_idx().data(), a.values().data(), x.data(),
-                want.data());
+  kernels::ref::spmv(a.rows(), a.row_ptr().data(), a.col_idx().data(), a.values().data(),
+                     x.data(), want.data());
   for (std::size_t i = 0; i < a.rows(); ++i)
     ASSERT_EQ(ScalarCodec<Posit8>::to_bits(y[i]), ScalarCodec<Posit8>::to_bits(want[i]));
-
-  // Rebuilding restores the planned path (offsets and SELL-8 plan) with
-  // bit-identical results.
-  a.rebuild_spmv_plan();
-  EXPECT_EQ(a.has_spmv_plan(), planned);
-  std::vector<Posit8> y2(a.rows());
-  a.matvec(x.data(), y2.data());
-  for (std::size_t i = 0; i < a.rows(); ++i)
-    ASSERT_EQ(ScalarCodec<Posit8>::to_bits(y2[i]), ScalarCodec<Posit8>::to_bits(y[i]));
+  EXPECT_NE(ScalarCodec<Posit8>::to_bits(y[0]), ScalarCodec<Posit8>::to_bits(before[0]));
 }
 
 TEST(Csr, MatrixExceedsRange) {
