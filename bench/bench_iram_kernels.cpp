@@ -1,7 +1,10 @@
 // Microbenchmark A2: throughput of the IRAM's inner kernels (dot, norm,
 // axpy, sparse matvec, full Arnoldi step) per format and problem size.
-// The 8-bit rows put the kernels' table path over T next to the
-// table-resident OnGrid<T> the solvers run their dense work in.
+// The kernels have one body each, which over an emulated T runs the exact
+// engine: every row over an emulated T (BM_Dot, BM_Axpy, BM_SpMV,
+// BM_ArnoldiStep) times that engine, the 8- and 16-bit ones included. The
+// OnGrid<T> rows time the resident arithmetic the solvers run (table
+// lookups at 8 bits). The rows are ungated and have no baseline.
 // BM_SpMV times CsrMatrix<T>::matvec over T, which only direct callers and
 // operators applied in T run; BM_ResidentSpMV times the matvec a resident
 // solve runs: detail::ResidentOp over OnGrid<T>, the values on the grid.

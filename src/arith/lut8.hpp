@@ -19,17 +19,17 @@
 //
 // Binary64 + and * are commutative (from_double maps every NaN to T's one
 // NaN), so each of their pairs is computed once and the tables are
-// symmetric: the + table is its own transpose. tests/test_kernel_accel.cpp
-// and tests/test_on_grid.cpp check every entry against the exact engine.
+// symmetric: the + table is its own transpose (tests/test_kernel_accel.cpp
+// checks that). OnGridOracle.OnGrid8AllPairs (tests/test_on_grid.cpp)
+// checks every entry, through the grid, against the exact engine.
 //
-// One copy serves two readers: the 8-bit resident grid (arith/on_grid.hpp),
-// which runs every operation of a solve on the encoding byte, SpMV
-// included, and the kernels' T paths (kernels/accel.hpp).
+// Their one reader is the 8-bit resident grid (arith/on_grid.hpp), which
+// runs every operation of a solve on the encoding byte, SpMV included.
 //
 // The tables sit in zero-filled static storage, so a format's pages cost
 // memory only once they are written. The first Lut8<T>::instance() (a
 // thread-safe function-local static) fills them; no static initializer
-// builds them before main. The hot paths then index the arrays directly,
+// builds them before main. The grid then indexes the arrays directly,
 // with no guard and no call, which is only valid after instance() has
 // returned in the reading thread (or in one it synchronized with). The
 // resident grid's constructors call it, so every value it holds implies
@@ -69,7 +69,8 @@ inline constinit Lut8Data lut8_data{};
 
 }  // namespace detail
 
-/// The operation tables of an 8-bit format T, built on first use.
+/// The builder of an 8-bit format T's tables (detail::lut8_data<T>), run
+/// on first use.
 template <typename T>
 class Lut8 {
  public:
@@ -82,10 +83,6 @@ class Lut8 {
     static const Lut8 lut;
     return lut;
   }
-
-  [[nodiscard]] T add(T a, T b) const noexcept { return Codec::from_bits(d().add[index(a, b)]); }
-  [[nodiscard]] T mul(T a, T b) const noexcept { return Codec::from_bits(d().mul[index(a, b)]); }
-  [[nodiscard]] double decode(Storage bits) const noexcept { return d().dec[bits]; }
 
  private:
   Lut8() noexcept {
@@ -106,9 +103,6 @@ class Lut8 {
   }
 
   [[nodiscard]] static detail::Lut8Data& d() noexcept { return detail::lut8_data<T>; }
-  [[nodiscard]] static std::size_t index(T a, T b) noexcept {
-    return detail::lut8_index(Codec::to_bits(a), Codec::to_bits(b));
-  }
 };
 
 }  // namespace mfla

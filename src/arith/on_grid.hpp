@@ -8,8 +8,8 @@
 //
 //  * Table-resident grids (8 bits: OFP8 E4M3/E5M2, posit8, takum8): the
 //    value is the encoding byte itself. +, *, / and sqrt are one lookup in
-//    the whole-operation tables of arith/lut8.hpp (the copy the kernels'
-//    8-bit T paths read); - is + of the negated encoding (a sign-bit flip
+//    the whole-operation tables of arith/lut8.hpp (their only reader);
+//    - is + of the negated encoding (a sign-bit flip
 //    for OFP8, two's complement for posit8/takum8). Tapered comparisons compare the
 //    signed byte; OFP8 ones compare the decoded doubles.
 //  * Double-resident grids (16 and 32 bits): every value is a binary64.

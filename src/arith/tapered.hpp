@@ -229,42 +229,6 @@ class TaperedFloat {
     return a.is_negative() ? -a : a;
   }
 
-  // -- Unpacked-operand cores ----------------------------------------------
-  // The arithmetic engines behind operator+/operator*, taking already
-  // decoded operands. Callers must have handled zero/NaR beforehand. The
-  // kernel layer's 16-bit fast path (kernels/accel.hpp) feeds these from a
-  // precomputed 65536-entry Unpacked table, so the fast path shares every
-  // instruction of the exact engine except the decode bit-twiddling.
-
-  /// Exact sum of two finite non-zero values (handles either sign).
-  [[nodiscard]] static TaperedFloat add_unpacked(Unpacked x, Unpacked y) noexcept {
-    if (x.e < y.e || (x.e == y.e && x.m < y.m)) {
-      const Unpacked t = x;
-      x = y;
-      y = t;
-    }
-    const bool effective_sub = x.neg != y.neg;
-    const u128 big = static_cast<u128>(x.m) << 63;  // headroom bit 127 free
-    bool sticky = false;
-    const u128 small = shift_right_sticky(static_cast<u128>(y.m) << 63, x.e - y.e, sticky);
-    u128 r;
-    if (!effective_sub) {
-      r = big + small;
-    } else {
-      r = big - small;
-      // With a sticky tail the true result is strictly below r: borrow one
-      // ulp so guard/sticky classification stays exact.
-      if (sticky) r -= 1;
-      if (r == 0) return zero();
-    }
-    return from_exact(detail::normalize_u128(x.neg, x.e, r, sticky));
-  }
-
-  /// Exact product of two finite non-zero values.
-  [[nodiscard]] static TaperedFloat mul_unpacked(const Unpacked& x, const Unpacked& y) noexcept {
-    return from_exact(detail::mul_exact(x, y));
-  }
-
   /// Rounds and packs a finite non-zero exact result.
   [[nodiscard]] static TaperedFloat from_exact(const ExactResult& r) noexcept {
     const Storage payload = Codec::encode_positive(r.e, r.m, r.guard, r.sticky);
@@ -300,6 +264,38 @@ class TaperedFloat {
     if (a.is_zero()) return b;
     if (b.is_zero()) return a;
     return add_unpacked(a.unpack(), b.unpack());
+  }
+
+  // The arithmetic cores behind operator+/operator*, taking decoded
+  // operands. Callers must have handled zero/NaR beforehand.
+
+  /// Exact sum of two finite non-zero values (handles either sign).
+  [[nodiscard]] static TaperedFloat add_unpacked(Unpacked x, Unpacked y) noexcept {
+    if (x.e < y.e || (x.e == y.e && x.m < y.m)) {
+      const Unpacked t = x;
+      x = y;
+      y = t;
+    }
+    const bool effective_sub = x.neg != y.neg;
+    const u128 big = static_cast<u128>(x.m) << 63;  // headroom bit 127 free
+    bool sticky = false;
+    const u128 small = shift_right_sticky(static_cast<u128>(y.m) << 63, x.e - y.e, sticky);
+    u128 r;
+    if (!effective_sub) {
+      r = big + small;
+    } else {
+      r = big - small;
+      // With a sticky tail the true result is strictly below r: borrow one
+      // ulp so guard/sticky classification stays exact.
+      if (sticky) r -= 1;
+      if (r == 0) return zero();
+    }
+    return from_exact(detail::normalize_u128(x.neg, x.e, r, sticky));
+  }
+
+  /// Exact product of two finite non-zero values.
+  [[nodiscard]] static TaperedFloat mul_unpacked(const Unpacked& x, const Unpacked& y) noexcept {
+    return from_exact(detail::mul_exact(x, y));
   }
 
   Storage bits_;

@@ -140,12 +140,12 @@ struct NumTraits<Takum<N>> {
 // ScalarCodec<T>: uniform bit-level codec surface for the emulated formats.
 //
 // Where NumTraits<T> speaks in values, ScalarCodec<T> speaks in encodings:
-// bits <-> T, bits <-> double, and (for tapered formats) bits <-> Unpacked.
-// The exact engines (SoftFloat, TaperedFloat) implement these operations;
-// ScalarCodec exposes them uniformly so the kernel layer's LUT builders
-// (kernels/accel.hpp) and the exhaustive bit-identity tests can enumerate
-// and decode every encoding of a format without knowing its family.
-// Native float/double/Quad have no codec: they take the plain kernel paths.
+// bits <-> T and bits <-> double. The exact engines (SoftFloat,
+// TaperedFloat) implement these operations; ScalarCodec exposes them
+// uniformly so the 8-bit table builder (arith/lut8.hpp) and the exhaustive
+// bit-identity tests can enumerate and decode every encoding of a format
+// without knowing its family.
+// Native float/double/Quad have no codec.
 // ---------------------------------------------------------------------------
 
 template <typename T>
@@ -185,19 +185,12 @@ struct ScalarCodec<TaperedFloat<Codec>> {
   [[nodiscard]] static Storage bits_from_double(double d) noexcept {
     return Scalar::from_double(d).bits();
   }
-  /// Decode an encoding to (sign, exponent, significand). Meaningful for
-  /// finite non-zero patterns; zero/NaR must be special-cased by the caller
-  /// (as the exact engine itself does).
-  [[nodiscard]] static Unpacked bits_to_unpacked(Storage b) noexcept {
-    return Scalar::from_bits(b).unpack();
-  }
 };
 
 /// dd's codec speaks in the packed bit patterns of its two components
-/// (hi in the upper 64 bits). The kernel accelerator ignores it (128-bit
-/// encodings are far beyond table range — accel_kind yields none); it
-/// exists so codec-keyed dispatch, the reference-tier cache keying and the
-/// round-trip tests can treat dd uniformly with the other emulated formats.
+/// (hi in the upper 64 bits). It exists so codec-keyed dispatch, the
+/// reference-tier cache keying and the round-trip tests can treat dd
+/// uniformly with the other emulated formats.
 template <>
 struct ScalarCodec<DoubleDouble> {
   using Scalar = DoubleDouble;

@@ -16,11 +16,10 @@
 // body over OnGrid<T> (arith/on_grid.hpp), with the caller's operator
 // behind a ResidentOp, and converts q and r back to T at the end. A
 // CsrMatrix<T> is applied on the grid too (its values converted once per
-// solve), so no step of a CSR solve runs T's own arithmetic and
-// kernels::set_lut_enabled reaches none of it; any other operator is
-// applied in T. Every step is bit-identical to the body over T itself
-// (tests/test_on_grid.cpp). The T body still serves float32, float64, dd
-// and float128.
+// solve), so no step of a CSR solve runs T's own arithmetic; any other
+// operator is applied in T. Every step is bit-identical to the body over
+// T itself (tests/test_on_grid.cpp). The T body still serves float32,
+// float64, dd and float128.
 #pragma once
 
 #include <cmath>
@@ -203,8 +202,8 @@ class ResidentOp {
 
 /// A CsrMatrix<T> seen from a resident solve: its values are converted to
 /// the grid once (exact), row_ptr and col_idx are the matrix's own, and
-/// matvec runs the T kernel's loop over OnGrid<T> in the same order (row
-/// by row, ascending k, from zero), so every y is bit-identical to
+/// matvec runs kernels::spmv over OnGrid<T>, in the order it runs over T
+/// (row by row, ascending k, from zero), so every y is bit-identical to
 /// CsrMatrix<T>::matvec. matvec allocates nothing.
 template <typename T>
 class ResidentOp<T, CsrMatrix<T>> {
@@ -217,8 +216,7 @@ class ResidentOp<T, CsrMatrix<T>> {
   [[nodiscard]] std::size_t rows() const noexcept { return a_.rows(); }
 
   void matvec(const OnGrid<T>* x, OnGrid<T>* y) const noexcept {
-    kernels::detail::spmv_impl(a_.rows(), a_.row_ptr().data(), a_.col_idx().data(),
-                               values_.data(), x, y, kernels::accel::NativeOps<OnGrid<T>>{});
+    kernels::spmv(a_.rows(), a_.row_ptr().data(), a_.col_idx().data(), values_.data(), x, y);
   }
 
  private:

@@ -1,16 +1,15 @@
-// Provenance report for the 8-bit kernel path.
+// Provenance report for the kernel path.
 //
-// The 8-bit formats run the scalar LUT kernels (kernels/accel.hpp,
-// kernels/vector_ops.hpp, kernels/spmv.hpp) and the table-resident grid
-// (arith/on_grid.hpp), all plain portable code with no ISA dispatch. Benchmarks still record which
-// instruction set the kernels ran on; this header answers that question,
-// and the answer is always "scalar".
+// The kernels (kernels/vector_ops.hpp, kernels/spmv.hpp) and the resident
+// grids (arith/on_grid.hpp) are plain portable code with no ISA dispatch.
+// e2ebench still records which instruction set the kernels ran on; this
+// header answers that question, and the answer is always "scalar".
 #pragma once
 
 namespace mfla {
 namespace kernels {
 
-/// What the 8-bit kernels dispatch to.
+/// What the kernels dispatch to.
 struct SimdCaps {
   const char* isa;  ///< "scalar": there is no vector rung
 };

@@ -4,9 +4,8 @@
 // format T — this is the central kernel whose low-precision behavior the
 // study measures. A resident solve of an emulated format does not call it:
 // partialschur/lanczos_eigs apply a CsrMatrix<T> through
-// detail::ResidentOp (core/krylov_schur.hpp), which runs the same loop on
-// the values converted to OnGrid<T>, bit for bit, so set_lut_enabled no
-// longer reaches any CSR solve.
+// detail::ResidentOp (core/krylov_schur.hpp), which runs kernels::spmv
+// over the values converted to OnGrid<T>, bit for bit.
 #pragma once
 
 #include <algorithm>

@@ -279,23 +279,19 @@ TEST(PartialSchurBitIdentity, MatchesGoldensForWideTaperedFormats) {
   check("t64", partialschur_digest<Takum64>(a, start));
 }
 
-// The LUT fast paths must not change a single bit. A resident solve reads
-// the tables whatever set_lut_enabled says (the 8-bit grid is the tables,
-// and a CsrMatrix<T> is applied on the grid), so the reference is the
-// solver body run over T itself with every fast path disabled: the exact
+// The tables must not change a single bit. A resident solve reads them
+// (the 8-bit grid is the tables, and a CsrMatrix<T> is applied on the
+// grid), so the reference is the solver body run over T itself: the exact
 // engine end to end, SpMV included. The workspace matrix x the eight
-// formats of 8 and 16 bits, the ones with T-side table paths; the two
-// experiment graphs get the same comparison in
-// KernelAccel.ExperimentCsvByteIdenticalLutOnOff.
+// formats of 8 and 16 bits; the two experiment graphs get the same
+// comparison in KernelAccel.ExperimentCsvByteIdenticalLutOnOff.
 TEST(PartialSchurBitIdentity, LutOnAndOffAgree) {
   const CsrMatrix<double> a = workspace_matrix();
   const std::vector<double> start = golden_start(a.rows());
   const auto check = [&](auto tag) {
     using T = typename decltype(tag)::type;
     const Hash128 on = partialschur_digest<T>(a, start);
-    const bool was = kernels::set_lut_enabled(false);
     const Hash128 off = partialschur_digest<T>(a, start, true);
-    kernels::set_lut_enabled(was);
     EXPECT_EQ(on, off) << NumTraits<T>::name();
   };
   check(TypeTag<OFP8E4M3>{});
@@ -313,14 +309,13 @@ TEST(PartialSchurBitIdentity, LutOnAndOffAgree) {
 // ---------------------------------------------------------------------------
 
 /// ResidentOp<T, CsrMatrix<T>> (values converted to the grid at
-/// construction) against the LUT-dispatching kernels::spmv and the exact
-/// kernels::ref::spmv over T.
+/// construction) against kernels::spmv over T, the exact engine.
 template <typename T>
 void expect_planned_spmv_identity() {
   const CsrMatrix<double> ad = workspace_matrix();
   const CsrMatrix<T> a = ad.convert<T>();
   const std::size_t n = a.rows();
-  std::vector<T> x(n), y_generic(n), y_ref(n);
+  std::vector<T> x(n), y_generic(n);
   std::vector<OnGrid<T>> xg(n), y_planned(n);
   SplitMix64 sm(0xabc);
   for (std::size_t i = 0; i < n; ++i) {
@@ -332,12 +327,8 @@ void expect_planned_spmv_identity() {
   op.matvec(xg.data(), y_planned.data());
   kernels::spmv(a.rows(), a.row_ptr().data(), a.col_idx().data(), a.values().data(), x.data(),
                 y_generic.data());
-  kernels::ref::spmv(a.rows(), a.row_ptr().data(), a.col_idx().data(), a.values().data(),
-                     x.data(), y_ref.data());
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < n; ++i)
     EXPECT_EQ(y_planned[i].to_format().bits(), y_generic[i].bits());
-    EXPECT_EQ(y_planned[i].to_format().bits(), y_ref[i].bits());
-  }
 }
 
 TEST(PlannedSpmv, BitIdenticalToGenericAndReferenceE4M3) {

@@ -1,61 +1,34 @@
-// Property/fuzz harness over the kernel layer: every dispatching kernels::
-// entry point must be bit-identical to its kernels::ref:: definition with
-// the LUT fast paths off and on, for EVERY format in the registry, on operand
-// streams that deliberately include the nasty values (NaN / NaR, +/-inf,
-// -0.0, double denormals, values past the format's range in both
-// directions) interleaved with seeded pseudo-random data.
+// Property/fuzz harness over the kernel layer: every kernels:: entry point
+// (dot, nrm2, axpy, scal, matmul, matmul_tn, spmv, update_basis) run over
+// OnGrid<T> must give what the same entry point gives over T, the exact
+// engine, for EVERY resident format in the registry, on operand streams
+// that deliberately include the nasty values (NaN / NaR, +/-inf, -0.0,
+// double denormals, values past the format's range in both directions)
+// interleaved with seeded pseudo-random data.
 //
-// The acceleration tier may only change how a result is found, never what
-// is computed; this suite is the pairwise enforcement of that contract one
-// level above the exhaustive per-table tests (test_kernel_accel.cpp).
-// Results are compared by object representation (memcmp), so NaN payloads
-// and -0.0 count. (The resident SpMV over OnGrid<T> has its own oracle in
-// tests/test_on_grid.cpp.)
+// Production solves run these kernels over OnGrid<T>; the exact engine over
+// T is the definition of the format. Results are compared as
+// on_grid_match.hpp's matches() does (the encoding at 8 bits, the held
+// double at 16 and 32, the encoding and the unpacked fields at 64), so NaN
+// payloads and -0.0 count. The per-operation oracles are in
+// tests/test_on_grid.cpp.
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "arith/format_registry.hpp"
+#include "arith/on_grid.hpp"
 #include "dense/matrix.hpp"
-#include "kernels/accel.hpp"
 #include "kernels/spmv.hpp"
 #include "kernels/vector_ops.hpp"
+#include "on_grid_match.hpp"
 #include "support/rng.hpp"
 
 namespace mfla {
 namespace {
-
-/// The dispatch configurations under test (ref:: is the implicit extra leg
-/// of every comparison): exact engines and the LUT fast paths.
-struct Config {
-  bool lut;
-  const char* name;
-};
-constexpr Config kConfigs[] = {
-    {false, "exact"},
-    {true, "lut"},
-};
-
-/// Scoped override of the runtime LUT switch.
-class ConfigGuard {
- public:
-  explicit ConfigGuard(const Config& c) : lut_prev_(kernels::set_lut_enabled(c.lut)) {}
-  ~ConfigGuard() { kernels::set_lut_enabled(lut_prev_); }
-  ConfigGuard(const ConfigGuard&) = delete;
-  ConfigGuard& operator=(const ConfigGuard&) = delete;
-
- private:
-  bool lut_prev_;
-};
-
-template <typename T>
-[[nodiscard]] bool same_repr(const T& a, const T& b) {
-  return std::memcmp(&a, &b, sizeof(T)) == 0;
-}
 
 /// Operand stream: the special values cycle through the head positions and
 /// then keep reappearing every 7th slot inside pseudo-random filler, so
@@ -78,13 +51,50 @@ std::vector<T> fuzz_vec(std::size_t n, std::uint64_t seed) {
 }
 
 template <typename T>
-void expect_vec_repr(const std::vector<T>& got, const std::vector<T>& want,
-                     const std::string& what) {
+std::vector<OnGrid<T>> on_grid(const std::vector<T>& v) {
+  return std::vector<OnGrid<T>>(v.begin(), v.end());
+}
+
+template <typename T>
+DenseMatrix<T> fuzz_matrix(std::size_t rows, std::size_t cols, std::uint64_t seed) {
+  const auto v = fuzz_vec<T>(rows * cols, seed);
+  DenseMatrix<T> m(rows, cols);
+  for (std::size_t j = 0; j < cols; ++j)
+    for (std::size_t i = 0; i < rows; ++i) m(i, j) = v[j * rows + i];
+  return m;
+}
+
+template <typename T>
+DenseMatrix<OnGrid<T>> on_grid(const DenseMatrix<T>& m) {
+  return m.template map<OnGrid<T>>([](T x) { return OnGrid<T>(x); });
+}
+
+template <typename T>
+void expect_scalar(OnGrid<T> got, T want, const std::string& what) {
+  EXPECT_TRUE(matches(got, want)) << NumTraits<T>::name() << " " << what << ": "
+                                  << got.to_double() << " on the grid, "
+                                  << NumTraits<T>::to_double(want) << " in T";
+}
+
+template <typename T>
+void expect_vec(const std::vector<OnGrid<T>>& got, const std::vector<T>& want,
+                const std::string& what) {
   ASSERT_EQ(got.size(), want.size()) << what;
   for (std::size_t i = 0; i < got.size(); ++i)
-    ASSERT_TRUE(same_repr(got[i], want[i]))
-        << NumTraits<T>::name() << " " << what << " differs from ref at " << i << " ("
-        << NumTraits<T>::to_double(got[i]) << " vs " << NumTraits<T>::to_double(want[i]) << ")";
+    ASSERT_TRUE(matches(got[i], want[i]))
+        << NumTraits<T>::name() << " " << what << " differs at " << i << " ("
+        << got[i].to_double() << " on the grid, " << NumTraits<T>::to_double(want[i]) << " in T)";
+}
+
+template <typename T>
+void expect_matrix(const DenseMatrix<OnGrid<T>>& got, const DenseMatrix<T>& want,
+                   const std::string& what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  for (std::size_t j = 0; j < want.cols(); ++j)
+    for (std::size_t i = 0; i < want.rows(); ++i)
+      ASSERT_TRUE(matches(got(i, j), want(i, j)))
+          << NumTraits<T>::name() << " " << what << " differs at (" << i << ", " << j << ")";
 }
 
 /// A small fixed CSR structure with irregular rows (lengths 0..4) used for
@@ -107,62 +117,54 @@ struct FuzzCsr {
 
 template <typename T>
 void check_format(int bits) {
-  // Wide formats run fully emulated exact engines on every leg; keep their
-  // volume down so the suite stays fast.
+  using G = OnGrid<T>;
+  // The wide formats' exact engines are slow; keep their volume down so the
+  // suite stays fast.
   const std::size_t nmax = bits <= 16 ? 130 : 33;
   const std::size_t lengths[] = {0, 1, 9, 33, nmax};
   const T alpha = NumTraits<T>::from_double(-0.75);
+  const G galpha(alpha);
 
   for (const std::size_t n : lengths) {
+    const std::string at = " n=" + std::to_string(n);
     const auto x = fuzz_vec<T>(n, 1 + n);
     const auto y = fuzz_vec<T>(n, 2 + n);
+    const auto xg = on_grid(x), yg = on_grid(y);
 
-    // Reference results (exact engines, by definition).
-    const T dot_ref = kernels::ref::dot(n, x.data(), y.data());
-    const T nrm_ref = kernels::ref::nrm2(n, x.data());
-    std::vector<T> axpy_ref = y, scal_ref = x;
-    kernels::ref::axpy(n, alpha, x.data(), axpy_ref.data());
-    kernels::ref::scal(n, alpha, scal_ref.data());
-
-    for (const Config& cfg : kConfigs) {
-      ConfigGuard guard(cfg);
-      ASSERT_TRUE(same_repr(kernels::dot(n, x.data(), y.data()), dot_ref))
-          << NumTraits<T>::name() << " dot n=" << n << " cfg=" << cfg.name;
-      ASSERT_TRUE(same_repr(kernels::nrm2(n, x.data()), nrm_ref))
-          << NumTraits<T>::name() << " nrm2 n=" << n << " cfg=" << cfg.name;
-      std::vector<T> ax = y, sc = x;
-      kernels::axpy(n, alpha, x.data(), ax.data());
-      kernels::scal(n, alpha, sc.data());
-      expect_vec_repr(ax, axpy_ref, std::string("axpy cfg=") + cfg.name);
-      expect_vec_repr(sc, scal_ref, std::string("scal cfg=") + cfg.name);
-    }
+    expect_scalar(kernels::dot(n, xg.data(), yg.data()), kernels::dot(n, x.data(), y.data()),
+                  "dot" + at);
+    expect_scalar(kernels::nrm2(n, xg.data()), kernels::nrm2(n, x.data()), "nrm2" + at);
+    std::vector<T> ax = y, sc = x;
+    std::vector<G> axg = yg, scg = xg;
+    kernels::axpy(n, alpha, x.data(), ax.data());
+    kernels::axpy(n, galpha, xg.data(), axg.data());
+    kernels::scal(n, alpha, sc.data());
+    kernels::scal(n, galpha, scg.data());
+    expect_vec(axg, ax, "axpy" + at);
+    expect_vec(scg, sc, "scal" + at);
   }
 
-  // Dense matmul on a small matrix with specials.
+  // Dense products on small matrices with specials.
   {
-    const std::size_t m = 13, n2 = 11;
-    DenseMatrix<T> a(m, n2);
-    const auto av = fuzz_vec<T>(m * n2, 41);
-    for (std::size_t j = 0; j < n2; ++j)
-      for (std::size_t i = 0; i < m; ++i) a(i, j) = av[j * m + i];
-    DenseMatrix<T> b(n2, 5);
-    const auto bv = fuzz_vec<T>(n2 * 5, 44);
-    for (std::size_t j = 0; j < 5; ++j)
-      for (std::size_t i = 0; i < n2; ++i) b(i, j) = bv[j * n2 + i];
+    const auto a = fuzz_matrix<T>(13, 11, 41);
+    const auto b = fuzz_matrix<T>(11, 5, 44);
+    const auto c = fuzz_matrix<T>(13, 5, 47);
+    expect_matrix(kernels::matmul(on_grid(a), on_grid(b)), kernels::matmul(a, b), "matmul");
+    expect_matrix(kernels::matmul_tn(on_grid(a), on_grid(c)), kernels::matmul_tn(a, c),
+                  "matmul_tn");
+  }
 
-    const DenseMatrix<T> mm_ref = [&] {
-      ConfigGuard guard(kConfigs[0]);  // exact dispatch == reference leg
-      return kernels::matmul(a, b);
-    }();
-    for (const Config& cfg : kConfigs) {
-      ConfigGuard guard(cfg);
-      const DenseMatrix<T> mm = kernels::matmul(a, b);
-      for (std::size_t j = 0; j < mm.cols(); ++j)
-        for (std::size_t i = 0; i < mm.rows(); ++i)
-          ASSERT_TRUE(same_repr(mm(i, j), mm_ref(i, j)))
-              << NumTraits<T>::name() << " matmul cfg=" << cfg.name << " (" << i << ", " << j
-              << ")";
-    }
+  // The restart's basis update: V (n x 7) times the leading 6 x 4 block of
+  // a larger W.
+  {
+    auto v = fuzz_matrix<T>(nmax, 7, 61);
+    const auto w = fuzz_matrix<T>(7, 5, 62);
+    auto vg = on_grid(v);
+    std::vector<T> scratch;
+    std::vector<G> scratch_g;
+    kernels::update_basis(v, w, 6, 4, scratch);
+    kernels::update_basis(vg, on_grid(w), 6, 4, scratch_g);
+    expect_matrix(vg, v, "update_basis");
   }
 
   // Sparse: spmv over an irregular structure with special values.
@@ -170,27 +172,29 @@ void check_format(int bits) {
     const FuzzCsr s(29, 17, 5);
     const auto vals = fuzz_vec<T>(s.col_idx.size(), 51);
     const auto x = fuzz_vec<T>(s.cols, 52);
-    std::vector<T> spmv_ref(s.rows);
-    kernels::ref::spmv(s.rows, s.row_ptr.data(), s.col_idx.data(), vals.data(), x.data(),
-                       spmv_ref.data());
-    for (const Config& cfg : kConfigs) {
-      ConfigGuard guard(cfg);
-      std::vector<T> yv(s.rows);
-      kernels::spmv(s.rows, s.row_ptr.data(), s.col_idx.data(), vals.data(), x.data(),
-                    yv.data());
-      expect_vec_repr(yv, spmv_ref, std::string("spmv cfg=") + cfg.name);
-    }
+    std::vector<T> yv(s.rows);
+    std::vector<G> yg(s.rows);
+    kernels::spmv(s.rows, s.row_ptr.data(), s.col_idx.data(), vals.data(), x.data(), yv.data());
+    kernels::spmv(s.rows, s.row_ptr.data(), s.col_idx.data(), on_grid(vals).data(),
+                  on_grid(x).data(), yg.data());
+    expect_vec(yg, yv, "spmv");
   }
 }
 
 TEST(KernelProperties, AllRegistryFormats) {
+  std::size_t resident = 0;
   for (const FormatInfo& info : all_formats()) {
     SCOPED_TRACE(info.name);
     dispatch_format(info.id, [&](auto tag) {
       using T = typename decltype(tag)::type;
-      check_format<T>(info.bits);
+      // float32 and float64 have one engine, the hardware: nothing to compare.
+      if constexpr (kGridResident<T>) {
+        check_format<T>(info.bits);
+        ++resident;
+      }
     });
   }
+  EXPECT_EQ(resident, 12u);
 }
 
 }  // namespace

@@ -23,8 +23,8 @@
 //    round trip.
 //  * SpMV: the resident CSR matvec (detail::ResidentOp over CsrMatrix<T>)
 //    and the T round trip a foreign operator takes, against the exact
-//    engine's kernels::ref::spmv, on a Laplacian and on a hand-built matrix
-//    of empty rows, overflow, underflow, NaN/NaR and -0 products.
+//    engine's kernels::spmv over T, on a Laplacian and on a hand-built
+//    matrix of empty rows, overflow, underflow, NaN/NaR and -0 products.
 //  * Whole solves: partialschur<T>/lanczos_eigs<T> (resident) against the
 //    solver bodies run over T itself, digest for digest.
 #include <gtest/gtest.h>
@@ -47,6 +47,7 @@
 #include "datasets/graph_corpus.hpp"
 #include "graph/generators.hpp"
 #include "graph/laplacian.hpp"
+#include "on_grid_match.hpp"
 #include "support/hash.hpp"
 #include "support/rng.hpp"
 
@@ -76,21 +77,6 @@ template <typename T>
 template <typename T>
 [[nodiscard]] double value_of(std::uint64_t b) {
   return from_encoding<T>(b).to_double();
-}
-
-/// Does the resident value equal the engine's? The 8-bit grids hold the
-/// encoding; the double-resident grids compare the double they hold; the
-/// 64-bit grids the encoding and, so the fields are canonical, the value
-/// decoded from the engine's result.
-template <typename T>
-[[nodiscard]] bool matches(OnGrid<T> got, T want) {
-  if constexpr (width<T>() == 8) {
-    return got.to_format().bits() == want.bits();
-  } else if constexpr (width<T>() == 64) {
-    return got.to_format().bits() == want.bits() && got == OnGrid<T>(want);
-  } else {
-    return bits_of(got.to_double()) == bits_of(want.to_double());
-  }
 }
 
 /// Counts mismatches and reports the first few; `detail` (a callable
@@ -592,14 +578,14 @@ struct ForeignCsr {
   void matvec(const T* x, T* y) const { a.matvec(x, y); }
 };
 
-/// y = A x through both ResidentOp branches against kernels::ref::spmv.
+/// y = A x through both ResidentOp branches against kernels::spmv over T.
 template <typename T>
 void expect_spmv_matches_engine(const CsrMatrix<T>& a, const std::vector<T>& x,
                                 const std::string& what) {
   const std::size_t n = a.rows();
   std::vector<T> want(n);
-  kernels::ref::spmv(n, a.row_ptr().data(), a.col_idx().data(), a.values().data(), x.data(),
-                     want.data());
+  kernels::spmv(n, a.row_ptr().data(), a.col_idx().data(), a.values().data(), x.data(),
+                want.data());
   std::vector<OnGrid<T>> xg;
   for (const T v : x) xg.emplace_back(v);
   const PartialSchurOptions opts;
