@@ -1,5 +1,6 @@
 // Microbenchmark A2: throughput of the IRAM's inner kernels (dot, norm,
-// axpy, sparse matvec, full Arnoldi step) per format and problem size.
+// axpy, sparse matvec, Gram–Schmidt, basis update, full Arnoldi step) per
+// format and problem size.
 // The kernels have one body each, which over an emulated T runs the exact
 // engine: every row over an emulated T (BM_Dot, BM_Axpy, BM_SpMV,
 // BM_ArnoldiStep) times that engine, the 8- and 16-bit ones included. The
@@ -10,6 +11,7 @@
 // solve runs: detail::ResidentOp over OnGrid<T>, the values on the grid.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "arith/on_grid.hpp"
@@ -116,6 +118,69 @@ void BM_ArnoldiStep(benchmark::State& state) {
   }
 }
 
+/// An n x cols basis with orthonormal columns, built in T by Gram–Schmidt
+/// from normal random vectors, as an Arnoldi expansion would build it.
+template <typename T>
+DenseMatrix<T> orthonormal_basis(std::size_t n, std::size_t cols) {
+  DenseMatrix<T> v(n, cols);
+  std::vector<T> h(cols);
+  for (std::size_t j = 0; j < cols; ++j) {
+    const auto w = random_vec<T>(n, 100 + j);
+    T* col = v.col(j);
+    for (std::size_t i = 0; i < n; ++i) col[i] = w[i];
+    const T nrm = detail::orthogonalize(v, j, col, h.data(), kernels::nrm2(n, col));
+    kernels::scal(n, T(1) / nrm, col);
+  }
+  return v;
+}
+
+/// One Arnoldi step's Gram–Schmidt: a random w against 20 orthonormal
+/// columns (modified Gram–Schmidt with its DGKS re-passes).
+template <typename T>
+void BM_Orthogonalize(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t cols = 20;
+  const DenseMatrix<T> v = orthonormal_basis<T>(n, cols);
+  const auto w0 = random_vec<T>(n, 9);
+  const T norm0 = kernels::nrm2(n, w0.data());
+  std::vector<T> w(n), h(cols);
+  for (auto _ : state) {
+    std::copy(w0.begin(), w0.end(), w.begin());
+    benchmark::DoNotOptimize(detail::orthogonalize(v, cols, w.data(), h.data(), norm0));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n * cols));
+}
+
+/// The thick restart's basis update: V (n x 25) times the leading 25 x 14
+/// block of W, into V's first 14 columns. V is restored before each update
+/// (a copy of n x 26 values) so every iteration sees the same operands.
+template <typename T>
+void BM_UpdateBasis(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t m = 25, keep = 14;
+  DenseMatrix<T> v0(n, m + 1);
+  const auto vals = random_vec<T>(n * (m + 1), 11);
+  for (std::size_t j = 0; j <= m; ++j)
+    for (std::size_t i = 0; i < n; ++i) v0(i, j) = vals[j * n + i];
+  DenseMatrix<T> w(m + 1, m);
+  const auto wvals = random_vec<T>((m + 1) * m, 12);
+  const T scale = NumTraits<T>::from_double(0.2);
+  for (std::size_t j = 0; j < m; ++j)
+    for (std::size_t l = 0; l <= m; ++l) w(l, j) = scale * wvals[j * (m + 1) + l];
+  DenseMatrix<T> v = v0;
+  std::vector<T> scratch;
+  for (auto _ : state) {
+    v = v0;
+    kernels::update_basis(v, w, m, keep, scratch);
+    benchmark::DoNotOptimize(v.col(0));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n * m * keep));
+}
+
 #define MFLA_KERNEL_BENCH(T)                                    \
   BENCHMARK_TEMPLATE(BM_Dot, T)->Arg(256)->Arg(4096);           \
   BENCHMARK_TEMPLATE(BM_Axpy, T)->Arg(256)->Arg(4096);          \
@@ -144,5 +209,19 @@ BENCHMARK_TEMPLATE(BM_ResidentSpMV, Posit16)->Arg(512);
 BENCHMARK_TEMPLATE(BM_ResidentSpMV, Posit32)->Arg(512);
 BENCHMARK_TEMPLATE(BM_ResidentSpMV, Takum32)->Arg(512);
 BENCHMARK_TEMPLATE(BM_ResidentSpMV, Posit64)->Arg(512);
+
+// The Krylov basis kernels over the scalars production solves run them on,
+// at the n of the large graph solves.
+#define MFLA_BASIS_BENCH(T)                              \
+  BENCHMARK_TEMPLATE(BM_Orthogonalize, T)->Arg(3000);    \
+  BENCHMARK_TEMPLATE(BM_UpdateBasis, T)->Arg(3000)
+
+MFLA_BASIS_BENCH(OnGrid<OFP8E4M3>);
+MFLA_BASIS_BENCH(OnGrid<Posit8>);
+MFLA_BASIS_BENCH(OnGrid<BFloat16>);
+MFLA_BASIS_BENCH(OnGrid<Posit32>);
+MFLA_BASIS_BENCH(OnGrid<Posit64>);
+MFLA_BASIS_BENCH(float);
+MFLA_BASIS_BENCH(double);
 
 }  // namespace

@@ -26,13 +26,18 @@
 //      2p + 2 <= 53: float16, bfloat16, posit16, takum16): the double
 //      operation rounded once onto the grid is correctly rounded, as
 //      SoftFloat itself relies on.
-//    - Wide grids (posit32, takum32: p = 28): hi = fl(a op b) and the sign
-//      of its exact error (Fast2Sum for +/-, fma for *, the fma residual
-//      for / and sqrt) give the round-to-odd double (Boldo & Melquiond,
-//      IEEE TC 2008), which is then rounded onto the grid. Round-to-odd is
-//      exact here because every grid point and every tie between
-//      neighbours needs at most 29 significant bits, and no sum, product or
-//      quotient of two grid values leaves the normal double range.
+//    - Wide grids (posit32, takum32: p = 28): + and - are one hardware
+//      operation and one rounding too. No sum of two of their values
+//      double-rounds: an operand small enough to carry bits below
+//      binary64's rounding point keeps, by tapering, too few bits to also
+//      reach a grid boundary (detail::sums_round_once, a static_assert).
+//      For *, / and sqrt, hi = fl(a op b) and the sign of its exact error
+//      (fma for *, the fma residual for / and sqrt) give the round-to-odd
+//      double (Boldo & Melquiond, IEEE TC 2008), which is then rounded onto
+//      the grid. Round-to-odd is exact here because every grid point and
+//      every tie between neighbours needs at most 29 significant bits, and
+//      no product or quotient of two grid values leaves the normal double
+//      range.
 //  * Unpacked-resident grids (posit64, takum64): the value is the decoded
 //    (sign, exponent, 64-bit significand) with zero/NaR flags. + and - run
 //    in one 64-bit word (grid values have <= 60 significant bits); *, / and
@@ -50,6 +55,7 @@
 // tests/test_on_grid.cpp checks it against the exact engines.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
@@ -165,17 +171,32 @@ struct SoftFloatGrid : DoubleValued<SoftFloat<E, M, Flavor::ieee>, false> {
   [[nodiscard]] static double sqrt(double a) noexcept { return round(std::sqrt(a)); }
 };
 
-/// Fraction bits of one binade [2^e, 2^(e+1)) of a posit<N, ES> grid, or 0
-/// where the binade takes the exact engine (exponent field truncated, or
-/// outside [minpos, maxpos)).
+/// The bits a posit<N, ES> encoding leaves for the fraction in binade
+/// [2^e, 2^(e+1)): negative where the exponent field is truncated.
+template <int N, int ES>
+[[nodiscard]] constexpr int posit_raw_fraction_bits(int e) noexcept {
+  const int k = e >> ES;                      // floor division
+  const int len = (k >= 0) ? k + 2 : 1 - k;   // regime run plus terminator
+  return N - 1 - len - ES;
+}
+
+/// Fraction bits of one binade of a posit<N, ES> grid, or 0 where the
+/// binade takes the exact engine (exponent field truncated, or outside
+/// [minpos, maxpos)).
 template <int N, int ES>
 [[nodiscard]] constexpr int posit_fraction_bits(int e) noexcept {
   constexpr int max_exp = (N - 2) << ES;
   if (e >= max_exp || e < -max_exp) return 0;
-  const int k = e >> ES;                      // floor division
-  const int len = (k >= 0) ? k + 2 : 1 - k;   // regime run plus terminator
-  const int fb = N - 1 - len - ES;
+  const int fb = posit_raw_fraction_bits<N, ES>(e);
   return fb > 0 ? fb : 0;
+}
+
+/// The bits a takum<N> encoding leaves for the fraction in binade e.
+template <int N>
+[[nodiscard]] constexpr int takum_raw_fraction_bits(int e) noexcept {
+  const int cbits = (e >= 0) ? bitlen(static_cast<unsigned>(e) + 1) - 1
+                             : bitlen(static_cast<unsigned>(-e)) - 1;
+  return N - 5 - cbits;
 }
 
 /// Fraction bits of one binade of a takum<N> grid, or 0 for the exact
@@ -185,9 +206,7 @@ template <int N, int ES>
 template <int N>
 [[nodiscard]] constexpr int takum_fraction_bits(int e) noexcept {
   if (e >= 254 || e <= -255) return 0;
-  const int cbits = (e >= 0) ? bitlen(static_cast<unsigned>(e) + 1) - 1
-                             : bitlen(static_cast<unsigned>(-e)) - 1;
-  const int fb = N - 5 - cbits;
+  const int fb = takum_raw_fraction_bits<N>(e);
   return fb > 0 ? fb : 0;
 }
 
@@ -199,6 +218,69 @@ template <class Codec>
   } else {
     return takum_fraction_bits<Codec::nbits>(e);
   }
+}
+
+/// The bits Codec's encoding leaves for the fraction in binade e, unclamped.
+template <class Codec>
+[[nodiscard]] constexpr int codec_raw_fraction_bits(int e) noexcept {
+  if constexpr (requires { Codec::es; }) {
+    return posit_raw_fraction_bits<Codec::nbits, Codec::es>(e);
+  } else {
+    return takum_raw_fraction_bits<Codec::nbits>(e);
+  }
+}
+
+/// Whether round(fl(a + b)) == round(a + b) for every two values a, b of a
+/// tapered grid: whether no sum double-rounds through binary64. A value in
+/// binade e (|e| <= emax) has at most raw_fb(e) fraction bits (a power of
+/// two where that is <= 0), and rounding onto the grid is to nearest on
+/// the grid one bit wider (raw_fb(e) + 1 fraction bits), as posit and takum
+/// rounding on the (N+1)-bit encoding is: its extra values are the rounding
+/// boundaries. A sufficient condition, per pair of operand binades
+/// ea >= eb (docs/FORMATS.md, "Sums on the wide tapered grids"):
+///  * a and b are multiples of 2^qmin and |a + b| < 2^(ea+2), so the sum is
+///    a double when ea + 2 - qmin <= 53;
+///  * otherwise fl(a + b) double-rounds only by landing on a boundary t
+///    that a + b is not. t lies in binade ea - 1, ea or ea + 1, and for
+///    each the sum is either a double at that binade's ulp or it and
+///    fl(a + b) stay closer to a (|b| < 2^(eb+1), plus half an ulp) than
+///    any boundary there can be (the wider grid's spacing).
+template <class RawFb>
+[[nodiscard]] constexpr bool sums_round_once(RawFb raw_fb, int emax) noexcept {
+  constexpr int kMaxEmax = 510;
+  if (emax > kMaxEmax) return false;
+  // log2 of the spacing of binade e on the grid and on the grid one bit
+  // wider, at index e + emax + 1.
+  std::array<int, 2 * kMaxEmax + 3> narrow{}, wide{};
+  for (int e = -emax - 1; e <= emax + 1; ++e) {
+    const int fb = raw_fb(e);
+    narrow[static_cast<std::size_t>(e + emax + 1)] = e - std::max(fb, 0);
+    wide[static_cast<std::size_t>(e + emax + 1)] = e - std::max(fb + 1, 0);
+  }
+  const auto at = [&](const std::array<int, 2 * kMaxEmax + 3>& t, int e) {
+    return t[static_cast<std::size_t>(e + emax + 1)];
+  };
+  for (int ea = -emax; ea <= emax; ++ea) {
+    // Descending: once fl(a + b) stays short of every boundary, it does for
+    // every smaller b too.
+    for (int eb = ea; eb >= -emax; --eb) {
+      const int qmin = std::min(at(narrow, ea), at(narrow, eb));
+      if (ea + 2 - qmin <= 53) continue;
+      // Per binade of t, as log2: t's least distance from a, the most half
+      // an ulp of fl(a + b) can be, and the least ulp of a + b.
+      const int sides[3][3] = {{at(wide, ea - 1), ea - 54, ea - 54},
+                               {at(wide, ea), ea - 53, ea - 52},
+                               {at(wide, ea), ea - 52, ea - 52}};
+      bool short_of_all = true;
+      for (const auto& [gap, half_ulp, ulp] : sides) {
+        const bool short_of_t = std::max(eb + 1, half_ulp) + 1 <= gap;
+        if (!short_of_t && qmin < ulp) return false;  // inexact, and may land on t
+        short_of_all = short_of_all && short_of_t;
+      }
+      if (short_of_all) break;
+    }
+  }
+  return true;
 }
 
 /// The tapered grids (posit, takum) of width 16 <= N <= 32.
@@ -236,8 +318,14 @@ struct TaperedGrid : DoubleValued<TaperedFloat<Codec>, true> {
   }();
   /// A short grid (2p + 2 <= 53: the 16-bit formats) is rounded correctly
   /// by one double operation and one rounding, as SoftFloat is; a wide one
-  /// (the 32-bit formats) needs the error term and round-to-odd.
+  /// (the 32-bit formats) needs the error term and round-to-odd for *, /
+  /// and sqrt. Not for +: tapering leaves an operand small enough to carry
+  /// bits below binary64's rounding point too few bits to reach a grid
+  /// boundary, so no sum of two grid values double-rounds.
   static constexpr bool kShort = 2 * kSignificantBits + 2 <= 53;
+  static_assert(sums_round_once([](int e) { return codec_raw_fraction_bits<Codec>(e); },
+                                Codec::max_exponent),
+                "a sum of two grid values can double-round: add needs round-to-odd");
 
   /// Format::from_double(x).to_double() without the encoding, except NaR
   /// comes back as a NaN and zero as +0.0.
@@ -248,22 +336,9 @@ struct TaperedGrid : DoubleValued<TaperedFloat<Codec>, true> {
     return round_exact(x);
   }
 
-  [[nodiscard]] static double add(double a, double b) noexcept {
-    const double s = a + b;
-    if constexpr (kShort) {
-      return round(s);
-    } else {
-      // Fast2Sum on the operands ordered by magnitude: s - big is exact, so
-      // the error small - (s - big) has the sign of small against it.
-      const bool a_big = std::fabs(a) >= std::fabs(b);
-      const double big = a_big ? a : b;
-      const double small = a_big ? b : a;
-      const double t = s - big;
-      const std::int64_t dir =
-          static_cast<std::int64_t>(small > t) - static_cast<std::int64_t>(small < t);
-      return round(round_to_odd(s, dir));
-    }
-  }
+  /// Correctly rounded on every grid, wide ones included (the
+  /// static_assert above).
+  [[nodiscard]] static double add(double a, double b) noexcept { return round(a + b); }
   [[nodiscard]] static double sub(double a, double b) noexcept { return add(a, -b); }
   [[nodiscard]] static double mul(double a, double b) noexcept {
     const double p = a * b;

@@ -1,5 +1,8 @@
 // Arnoldi expansion with modified Gram–Schmidt, re-passed under the DGKS
-// criterion, the inner loop of the Krylov–Schur solver.
+// criterion, the inner loop of the Krylov–Schur solver. Each Gram–Schmidt
+// pass is one call of kernels::mgs_pass (kernels/vector_ops.hpp), which
+// fuses a column's axpy with the next column's dot over chunks of rows and
+// keeps every element's operations and their order.
 //
 // Everything runs in the working scalar type T: inner products, norms and
 // the normalization — the paper's subject is precisely how these kernels
@@ -51,24 +54,20 @@ struct ArnoldiWorkspace {
 namespace detail {
 
 /// Orthogonalize w against the first `cols` columns of v with modified
-/// Gram–Schmidt (one dot, then one axpy, per column), repeated up to three
-/// passes while the DGKS test (eta = 1/sqrt(2)) asks for another;
-/// coefficients are accumulated into h[0..cols), which is (re)initialized
-/// here — callers may pass recycled buffers.
+/// Gram–Schmidt, repeated up to three passes while the DGKS test
+/// (eta = 1/sqrt(2)) asks for another; coefficients are accumulated into
+/// h[0..cols), which is (re)initialized here — callers may pass recycled
+/// buffers. Each pass is kernels::mgs_pass: per column the dot, then the
+/// axpy, element for element, with one column's axpy and the next
+/// column's dot fused into one sweep over chunks of rows.
 /// Returns the norm of the orthogonalized w (in T), or NaR/NaN on failure.
 template <typename T>
 T orthogonalize(const DenseMatrix<T>& v, std::size_t cols, T* w, T* h, T norm_before) {
-  const std::size_t n = v.rows();
   const T eta = NumTraits<T>::from_double(0.7071067811865475);
   for (std::size_t j = 0; j < cols; ++j) h[j] = T(0);
   T norm_after = norm_before;
   for (int pass = 0; pass < 3; ++pass) {
-    for (std::size_t j = 0; j < cols; ++j) {
-      const T c = kernels::dot(n, v.col(j), w);
-      h[j] += c;
-      kernels::axpy(n, -c, v.col(j), w);
-    }
-    norm_after = kernels::nrm2(n, w);
+    norm_after = kernels::mgs_pass(v, cols, w, h);
     if (!is_number(norm_after)) return norm_after;
     if (norm_after > eta * norm_before) break;  // DGKS: no further pass needed
     norm_before = norm_after;

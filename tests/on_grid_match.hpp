@@ -24,4 +24,15 @@ template <typename T>
   }
 }
 
+/// Two values on one grid are the same value, by the same comparison.
+template <typename T>
+[[nodiscard]] bool matches(OnGrid<T> got, OnGrid<T> want) {
+  if constexpr (ScalarCodec<T>::bits == 8 || ScalarCodec<T>::bits == 64) {
+    return matches(got, want.to_format());
+  } else {
+    return std::bit_cast<std::uint64_t>(got.to_double()) ==
+           std::bit_cast<std::uint64_t>(want.to_double());
+  }
+}
+
 }  // namespace mfla

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <new>
@@ -192,13 +193,13 @@ TEST(ArnoldiWorkspace, AllocationHookIsLive) {
 /// (detail::partialschur_core<T>), not resident.
 template <typename T>
 Hash128 partialschur_digest(const CsrMatrix<double>& ad, const std::vector<double>& start,
-                            bool over_format = false) {
+                            bool over_format = false, int max_restarts = 60) {
   const CsrMatrix<T> a = ad.convert<T>();
   PartialSchurOptions opts;
   opts.nev = 6;
   opts.which = Which::largest_magnitude;
   opts.tolerance = NumTraits<T>::default_tolerance();
-  opts.max_restarts = 60;
+  opts.max_restarts = max_restarts;
   opts.start_vector = &start;
   opts.seed = 0xbeef;
   const auto r = over_format ? detail::partialschur_core<T>(a, opts) : partialschur<T>(a, opts);
@@ -277,6 +278,47 @@ TEST(PartialSchurBitIdentity, MatchesGoldensForWideTaperedFormats) {
   check("t32", partialschur_digest<Takum32>(a, start));
   check("p64", partialschur_digest<Posit64>(a, start));
   check("t64", partialschur_digest<Takum64>(a, start));
+}
+
+// The large-n path: n is past two of update_basis's row tiles and not a
+// multiple of mgs_pass's chunk, so every remainder of the blocked loops
+// runs. The digests were captured from the solver whose Gram–Schmidt ran
+// one dot, then one axpy, per column and whose basis update ran one
+// column at a time; one format per kind of grid, plus the natives.
+TEST(PartialSchurBitIdentity, MatchesGoldensAtLargeN) {
+  const std::map<std::string, Hash128> golden = {
+      {"f32", {0x80b729cfa60de40eull, 0x0b45ceb934edf101ull}},
+      {"f64", {0xc575a3fd8da74899ull, 0xd8471f6333058486ull}},
+      {"e4m3", {0x06c8dc8644736c74ull, 0x4cceac791aa5dad3ull}},
+      {"bf16", {0x025d32b75597bf0eull, 0x9d2dc591f437dacbull}},
+      {"p32", {0x793a2339fb8ba2caull, 0x91cac4f9c6ccf7fbull}},
+      {"p64", {0x73b1bd0ec84a1e24ull, 0x392057cc14988f02ull}},
+  };
+  Rng gr(0x1a46e);
+  const CsrMatrix<double> a =
+      CsrMatrix<double>::from_coo(graph_laplacian_pipeline(erdos_renyi(1203, 6.0 / 1203, gr)));
+  ASSERT_EQ(a.rows(), 1203u);
+  ASSERT_GT(a.rows(), 2 * kernels::kBasisTileRows);
+  ASSERT_NE(a.rows() % kernels::kMgsChunkRows, 0u);
+  const std::vector<double> start = golden_start(a.rows());
+
+  const auto check = [&](const char* key, const Hash128& digest) {
+    const auto it = golden.find(key);
+    ASSERT_NE(it, golden.end());
+    char got[64];
+    std::snprintf(got, sizeof got, "{0x%016llxull, 0x%016llxull}",
+                  static_cast<unsigned long long>(digest.lo),
+                  static_cast<unsigned long long>(digest.hi));
+    EXPECT_EQ(digest, it->second) << "partialschur<" << key << "> at n = 1203 diverged from "
+                                  << "the recorded bits: " << got;
+  };
+  constexpr int kRestarts = 12;
+  check("f32", partialschur_digest<float>(a, start, false, kRestarts));
+  check("f64", partialschur_digest<double>(a, start, false, kRestarts));
+  check("e4m3", partialschur_digest<OFP8E4M3>(a, start, false, kRestarts));
+  check("bf16", partialschur_digest<BFloat16>(a, start, false, kRestarts));
+  check("p32", partialschur_digest<Posit32>(a, start, false, kRestarts));
+  check("p64", partialschur_digest<Posit64>(a, start, false, kRestarts));
 }
 
 // The tables must not change a single bit. A resident solve reads them

@@ -7,6 +7,7 @@
 
 #include "arith/posit.hpp"
 #include "kernels/vector_ops.hpp"
+#include "dense_products.hpp"
 #include "dense/hessenberg.hpp"
 #include "dense/jacobi.hpp"
 #include "dense/matrix.hpp"
@@ -62,10 +63,10 @@ TEST(Blas, MatmulAssociativityWithIdentity) {
   Rng rng(42);
   const auto a = random_matrix(6, 6, rng);
   const auto i6 = DenseMatrix<double>::identity(6);
-  const auto ai = kernels::matmul(a, i6);
+  const auto ai = matmul(a, i6);
   for (std::size_t j = 0; j < 6; ++j)
     for (std::size_t i = 0; i < 6; ++i) EXPECT_DOUBLE_EQ(ai(i, j), a(i, j));
-  const auto ata = kernels::matmul_tn(a, a);
+  const auto ata = matmul_tn(a, a);
   for (std::size_t j = 0; j < 6; ++j)
     for (std::size_t i = 0; i < 6; ++i)
       EXPECT_NEAR(ata(i, j), kernels::dot(6, a.col(i), a.col(j)), 1e-13);
@@ -98,10 +99,10 @@ TEST(Hessenberg, PatternAndSimilarity) {
     for (std::size_t j = 0; j + 2 < n; ++j)
       for (std::size_t i = j + 2; i < n; ++i) EXPECT_NEAR(a(i, j), 0.0, 1e-13);
     // Q orthogonal and Q H Q^T == A0.
-    const auto qtq = kernels::matmul_tn(q, q);
+    const auto qtq = matmul_tn(q, q);
     for (std::size_t j = 0; j < n; ++j)
       for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(qtq(i, j), i == j ? 1.0 : 0.0, 1e-12);
-    const auto rec = kernels::matmul(kernels::matmul(q, a), q.transposed());
+    const auto rec = matmul(matmul(q, a), q.transposed());
     for (std::size_t j = 0; j < n; ++j)
       for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(rec(i, j), a0(i, j), 1e-11);
   }
@@ -119,7 +120,7 @@ TEST(Hessenberg, SpikeShapeInput) {
   const auto a0 = a;
   auto q = DenseMatrix<double>::identity(n);
   ASSERT_TRUE(hessenberg_reduce(a, q));
-  const auto rec = kernels::matmul(kernels::matmul(q, a), q.transposed());
+  const auto rec = matmul(matmul(q, a), q.transposed());
   for (std::size_t j = 0; j < n; ++j)
     for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(rec(i, j), a0(i, j), 1e-11);
 }
@@ -135,7 +136,7 @@ TEST_P(JacobiSizes, DiagonalizesSymmetric) {
   const int sweeps = jacobi_eigen(a, v);
   ASSERT_GT(sweeps, 0);
   // A0 V = V D.
-  const auto av = kernels::matmul(a0, v);
+  const auto av = matmul(a0, v);
   for (std::size_t j = 0; j < n; ++j)
     for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(av(i, j), v(i, j) * a(j, j), 1e-10);
   // Eigenvalue sum = trace.

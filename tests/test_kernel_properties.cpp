@@ -1,5 +1,5 @@
 // Property/fuzz harness over the kernel layer: every kernels:: entry point
-// (dot, nrm2, axpy, scal, matmul, matmul_tn, spmv, update_basis) run over
+// (dot, nrm2, axpy, scal, mgs_pass, spmv, update_basis) run over
 // OnGrid<T> must give what the same entry point gives over T, the exact
 // engine, for EVERY resident format in the registry, on operand streams
 // that deliberately include the nasty values (NaN / NaR, +/-inf, -0.0,
@@ -144,16 +144,6 @@ void check_format(int bits) {
     expect_vec(scg, sc, "scal" + at);
   }
 
-  // Dense products on small matrices with specials.
-  {
-    const auto a = fuzz_matrix<T>(13, 11, 41);
-    const auto b = fuzz_matrix<T>(11, 5, 44);
-    const auto c = fuzz_matrix<T>(13, 5, 47);
-    expect_matrix(kernels::matmul(on_grid(a), on_grid(b)), kernels::matmul(a, b), "matmul");
-    expect_matrix(kernels::matmul_tn(on_grid(a), on_grid(c)), kernels::matmul_tn(a, c),
-                  "matmul_tn");
-  }
-
   // The restart's basis update: V (n x 7) times the leading 6 x 4 block of
   // a larger W.
   {
@@ -165,6 +155,19 @@ void check_format(int bits) {
     kernels::update_basis(v, w, 6, 4, scratch);
     kernels::update_basis(vg, on_grid(w), 6, 4, scratch_g);
     expect_matrix(vg, v, "update_basis");
+  }
+
+  // One modified Gram–Schmidt pass of w against the 5 columns of V.
+  {
+    const auto v = fuzz_matrix<T>(nmax, 5, 71);
+    auto w = fuzz_vec<T>(nmax, 72);
+    auto wg = on_grid(w);
+    std::vector<T> h(5, T(0));
+    std::vector<G> hg(5, G(0));
+    const T norm = kernels::mgs_pass(v, 5, w.data(), h.data());
+    expect_scalar(kernels::mgs_pass(on_grid(v), 5, wg.data(), hg.data()), norm, "mgs_pass");
+    expect_vec(wg, w, "mgs_pass w");
+    expect_vec(hg, h, "mgs_pass h");
   }
 
   // Sparse: spmv over an irregular structure with special values.

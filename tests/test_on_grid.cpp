@@ -350,6 +350,22 @@ TEST(OnGridRoundToOdd, Posit32ProductsOnGridTies) { expect_round_to_odd_products
 
 TEST(OnGridRoundToOdd, Takum32ProductsOnGridTies) { expect_round_to_odd_products<Takum32>(); }
 
+/// Sums take no round-to-odd step: the static_assert in TaperedGrid shows
+/// that no sum of two posit32 or takum32 values double-rounds. The same
+/// check must reject a uniform grid of the same 28 bits, on which one does:
+/// 1 + (2^-28 + 2^-54) lies above the tie 1 + 2^-28 between 1 and
+/// 1 + 2^-27, but binary64 drops the 2^-54 and lands on the tie, which
+/// rounds to even, down to 1.
+TEST(OnGridSums32, TaperingRulesOutDoubleRounding) {
+  static_assert(detail::sums_round_once(
+      [](int e) { return detail::posit_raw_fraction_bits<32, 2>(e); }, 120));
+  static_assert(detail::sums_round_once(
+      [](int e) { return detail::takum_raw_fraction_bits<32>(e); }, 255));
+  static_assert(!detail::sums_round_once([](int) { return 27; }, 120));
+  volatile double b = 0x1p-28 + 0x1p-54;  // 27 significant bits
+  EXPECT_EQ(1.0 + b, 1.0 + 0x1p-28);
+}
+
 // ---- Predicates -----------------------------------------------------------------
 
 /// For the 8-bit formats every encoding (each NaN/NaR and -0 too), which

@@ -9,6 +9,7 @@
 #include "arith/posit.hpp"
 #include "arith/takum.hpp"
 #include "kernels/vector_ops.hpp"
+#include "dense_products.hpp"
 #include "dense/hessenberg.hpp"
 #include "dense/jacobi.hpp"
 #include "dense/schur.hpp"
@@ -37,8 +38,8 @@ DenseMatrix<double> random_general(std::size_t n, Rng& rng) {
 
 double residual(const DenseMatrix<double>& a, const DenseMatrix<double>& q,
                 const DenseMatrix<double>& t) {
-  const auto aq = kernels::matmul(a, q);
-  const auto qt = kernels::matmul(q, t);
+  const auto aq = matmul(a, q);
+  const auto qt = matmul(q, t);
   double r = 0;
   for (std::size_t j = 0; j < a.cols(); ++j)
     for (std::size_t i = 0; i < a.rows(); ++i) r = std::max(r, std::abs(aq(i, j) - qt(i, j)));
@@ -46,7 +47,7 @@ double residual(const DenseMatrix<double>& a, const DenseMatrix<double>& q,
 }
 
 double orth_defect(const DenseMatrix<double>& q) {
-  const auto qtq = kernels::matmul_tn(q, q);
+  const auto qtq = matmul_tn(q, q);
   double r = 0;
   for (std::size_t j = 0; j < q.cols(); ++j)
     for (std::size_t i = 0; i < q.cols(); ++i)
