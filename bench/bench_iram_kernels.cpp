@@ -221,6 +221,7 @@ MFLA_BASIS_BENCH(OnGrid<Posit8>);
 MFLA_BASIS_BENCH(OnGrid<BFloat16>);
 MFLA_BASIS_BENCH(OnGrid<Posit32>);
 MFLA_BASIS_BENCH(OnGrid<Posit64>);
+MFLA_BASIS_BENCH(OnGrid<Takum64>);
 MFLA_BASIS_BENCH(float);
 MFLA_BASIS_BENCH(double);
 

@@ -40,11 +40,14 @@
 //      range.
 //  * Unpacked-resident grids (posit64, takum64): the value is the decoded
 //    (sign, exponent, 64-bit significand) with zero/NaR flags. + and - run
-//    in one 64-bit word (grid values have <= 60 significant bits); *, / and
-//    sqrt use the exact engine's cores. The exact result is rounded once in
-//    the unpacked domain with the same per-binade table, to nearest even on
-//    the significand; the binades the table leaves out take the exact
-//    engine.
+//    in one 64-bit word (grid values have <= 60 significant bits), the
+//    larger operand picked by masks; * normalizes the 128-bit product of
+//    the significands, whose top bit is 126 or 127, by one shift; / and
+//    sqrt use the exact engine's cores. The exact result is rounded once
+//    in the unpacked domain with the same per-binade table: guard and
+//    sticky fold into the significand's last bit and nearest-even is one
+//    masked addition. None of this branches on the data; the binades the
+//    table leaves out take the exact engine.
 //
 // Semantics follow T: tapered NaR equals itself and sorts below every
 // number; tapered zero has no sign. SoftFloat keeps IEEE +-0, +-inf and
@@ -414,25 +417,30 @@ struct UnpackedGrid {
     return m + 1;
   }();
   // add() keeps one headroom bit for the carry and needs three zero bits
-  // below every operand's significand.
+  // below every operand's significand; round() folds guard and sticky into
+  // bit 0, which fb <= 59 keeps below the half-ulp bit.
   static_assert(kSignificantBits <= 60, "a sum of two grid values must fit in one word");
 
   /// Rounds an exact result onto the grid as Format::from_exact does. In a
   /// binade with fb >= 1 the encodings are consecutive integers of linearly
   /// spaced values, so nearest-even on the encoding is nearest-even on the
-  /// significand's fb fraction bits. A carry out of the significand lands
-  /// on 2^(e+1), the first point of the next binade.
+  /// significand's fb fraction bits. Guard and sticky fold into bit 0 of the
+  /// significand: fb <= 59 leaves >= 4 bits below the rounding point, so
+  /// bit 0 lies below the half-ulp bit and only tells a value above the tie
+  /// from one on it (a low part below half stays below it, half - 1 being
+  /// odd). Nearest-even is then one masked addition,
+  /// (x + half - 1 + lsb) & ~(ulp - 1). A carry out of the significand wraps
+  /// it to 0 and lands on 2^(e+1), the first point of the next binade.
   [[nodiscard]] static Value round(const ExactResult& r) noexcept {
     const int fb = fraction_bits(r.e);
     if (fb <= 0) [[unlikely]] return round_exact(r);
-    const std::uint64_t ulp = std::uint64_t{1} << (63 - fb);
-    const std::uint64_t low = r.m & (ulp - 1);
-    std::uint64_t m = r.m - low;
-    const std::uint64_t half = ulp >> 1;
-    const bool up = low > half || (low == half && (r.guard || r.sticky || (m & ulp) != 0));
-    m += up ? ulp : 0;
-    if (m == 0) [[unlikely]] return {std::uint64_t{1} << 63, r.e + 1, r.neg, false};
-    return {m, r.e, r.neg, false};
+    const int shift = 63 - fb;  // log2 of the ulp, >= 4
+    const std::uint64_t x = r.m | static_cast<std::uint64_t>(r.guard | r.sticky);
+    const std::uint64_t lsb = (x >> shift) & 1;
+    const std::uint64_t m =
+        (x + ((std::uint64_t{1} << (shift - 1)) - 1) + lsb) & (~std::uint64_t{0} << shift);
+    const auto carry = static_cast<std::uint64_t>(m == 0);
+    return {m | (carry << 63), r.e + static_cast<int>(carry), r.neg, false};
   }
 
   /// Format::from_double(x) without the encoding.
@@ -472,24 +480,41 @@ struct UnpackedGrid {
       if (a.nar | b.nar) return kNaR;
       return a.m == 0 ? b : a;
     }
-    // Selects rather than a swap: which operand is larger is a coin flip.
-    const bool a_big = a.e > b.e || (a.e == b.e && a.m >= b.m);
-    const int e = a_big ? a.e : b.e;
-    const int gap = a_big ? a.e - b.e : b.e - a.e;
-    const std::uint64_t x = (a_big ? a.m : b.m) >> 1;
-    std::uint64_t y = (a_big ? b.m : a.m) >> 1;
+    // Which operand is larger is a coin flip, so masks pick it and its
+    // exponent and sign, and the gap is |a.e - b.e|, all free of jumps.
+    const bool a_big = (a.e > b.e) | ((a.e == b.e) & (a.m >= b.m));
+    const std::uint64_t swap = (a.m ^ b.m) & (static_cast<std::uint64_t>(a_big) - 1);
+    const std::uint64_t x = (a.m ^ swap) >> 1;
+    std::uint64_t y = (b.m ^ swap) >> 1;
+    const int d = a.e - b.e;
+    const int b_higher = d >> 31;  // -1 when b.e > a.e, else 0
+    const int e = a.e - (d & b_higher);
+    const int gap = (d ^ b_higher) - b_higher;
+    const bool neg = (a.neg & a_big) | (b.neg & !a_big);
     // y < 2^63, so a shift by 63 moves all of it into the jammed bit.
-    const int shift = gap < 63 ? gap : 63;
+    const int shift = std::min(gap, 63);
     y = (y >> shift) | static_cast<std::uint64_t>((y & ((std::uint64_t{1} << shift) - 1)) != 0);
-    const std::uint64_t r = a.neg == b.neg ? x + y : x - y;
+    // Opposite signs subtract: y is negated in two's complement by the mask.
+    const std::uint64_t minus = 0 - static_cast<std::uint64_t>(a.neg != b.neg);
+    const std::uint64_t r = x + ((y ^ minus) - minus);
     if (r == 0) return {};
-    const int top = 63 - std::countl_zero(r);
-    return round(ExactResult{a_big ? a.neg : b.neg, e + top - 62, r << (63 - top), false, false});
+    const int lz = std::countl_zero(r);
+    return round(ExactResult{neg, e + 1 - lz, r << lz, false, false});
   }
   [[nodiscard]] static Value sub(Value a, Value b) noexcept { return add(a, neg(b)); }
+  /// Two significands in [2^63, 2^64) multiply to [2^126, 2^128): the top
+  /// bit of the product is 127 (t = 1) or 126 (t = 0), so one shift by
+  /// 1 - t normalizes it, with no count of leading zeros.
   [[nodiscard]] static Value mul(Value a, Value b) noexcept {
     if ((a.m == 0) | (b.m == 0)) [[unlikely]] return (a.nar | b.nar) ? kNaR : Value{};
-    return round(mul_exact(unpacked(a), unpacked(b)));
+    const u128 p = static_cast<u128>(a.m) * b.m;
+    const auto hi = static_cast<std::uint64_t>(p >> 64);
+    const auto lo = static_cast<std::uint64_t>(p);
+    const std::uint64_t t = hi >> 63;
+    const std::uint64_t s = t ^ 1;
+    const std::uint64_t rest = lo << s;  // the bits below the significand
+    return round(ExactResult{a.neg != b.neg, a.e + b.e + static_cast<int>(t),
+                             (hi << s) | ((lo >> 63) & s), (rest >> 63) != 0, (rest << 1) != 0});
   }
   [[nodiscard]] static Value div(Value a, Value b) noexcept {
     if ((a.m == 0) | (b.m == 0)) [[unlikely]] return (a.nar | (b.m == 0)) ? kNaR : Value{};

@@ -13,8 +13,9 @@
 //    against the spacing of the codecs' own encodings.
 //  * Operations: + - * / and sqrt on boundary x boundary operands and on
 //    10^6 random pairs per operation, plus constructed 32-bit products that
-//    only round-to-odd gets right and constructed 64-bit sums for every
-//    exponent gap and binade. All 2^16 pairs of the 8-bit formats run on
+//    only round-to-odd gets right, constructed 64-bit sums for every
+//    exponent gap and binade, and constructed 64-bit products on and next
+//    to the ties of the grid. All 2^16 pairs of the 8-bit formats run on
 //    tier-1; DISABLED_ tests (run in CI) cover all 2^32 pairs of the 16-bit
 //    formats and >= 10^8 pairs of the 32- and 64-bit ones.
 //  * Predicates: comparisons, abs, negation and is_number on NaR/NaN,
@@ -493,7 +494,10 @@ TEST(OnGridTable, FractionBitsMatchTheCodecsSpacing) {
 /// (the fallback ones included) against every exponent gap 0..70 in both
 /// signs and operand orders, operands at the bottom, middle and top of their
 /// binade (the top ones carry into the next binade), and near-cancellation
-/// of neighbouring encodings.
+/// of neighbouring encodings. Gap 0 pairs distinct operands of one binade,
+/// so the selects see equal exponents with the smaller significand on
+/// either side, and pairs each operand with itself: x - x and x + (-x)
+/// cancel exactly.
 template <typename T>
 void expect_sums_64() {
   static_assert(width<T>() == 64);
@@ -509,7 +513,13 @@ void expect_sums_64() {
     if (hi > lo + 3) out.push_back(lo + 2 + sm.next() % (hi - lo - 3));
     return out;
   };
+  int same_binade = 0, cancelling = 0;
   const auto check = [&](std::uint64_t a, std::uint64_t b) {
+    if (a == b) {
+      ++cancelling;
+    } else if (from_encoding<T>(a).unpack().e == from_encoding<T>(b).unpack().e) {
+      ++same_binade;
+    }
     const auto neg = [](std::uint64_t x) { return (~x + 1); };
     for (const std::uint64_t x : {a, neg(a)}) {
       for (const std::uint64_t y : {b, neg(b)}) {
@@ -534,11 +544,207 @@ void expect_sums_64() {
     }
   }
   EXPECT_GE(fallback, 2) << "no fallback binades exercised";
+  EXPECT_GT(same_binade, 1000) << "too few equal-exponent pairs";
+  EXPECT_GT(cancelling, 400) << "too few exact cancellations";
 }
 
 TEST(OnGridSums64, Posit64GapsCarriesAndFallbackBinades) { expect_sums_64<Posit64>(); }
 
 TEST(OnGridSums64, Takum64GapsCarriesAndFallbackBinades) { expect_sums_64<Takum64>(); }
+
+// ---- 64-bit products --------------------------------------------------------------
+
+/// How a 64-bit grid rounds the exact product A * B of two significands in
+/// [2^63, 2^64) from binades ea and eb, worked out here in 128 bits.
+struct ProductRounding {
+  bool top127 = false;    // the product's top bit is 127 (else 126)
+  int fr = 0;             // fraction bits of the result's binade; 0: exact engine
+  bool tie = false;       // exactly half an ulp above a grid point
+  bool above = false;     // above a tie by less than 2^64 of 2^128:
+  bool below = false;     //   guard and sticky alone tell it from the tie
+  bool guard_only = false;  // above a tie by the guard bit alone
+  bool up = false;        // rounds away from zero
+  bool carry = false;     // rounds up from an all-ones significand
+};
+
+template <typename T>
+[[nodiscard]] ProductRounding classify_product(int ea, std::uint64_t a, int eb, std::uint64_t b) {
+  using Grid = typename detail::GridFor<T>::type;
+  const u128 p = static_cast<u128>(a) * b;
+  ProductRounding r;
+  r.top127 = (p >> 127) != 0;
+  r.fr = Grid::fraction_bits(ea + eb + (r.top127 ? 1 : 0));
+  if (r.fr <= 0) return r;
+  const u128 m = r.top127 ? p : p << 1;  // top bit at 127
+  const int low = 127 - r.fr;            // bits below the grid's last place
+  const u128 rem = m & ((static_cast<u128>(1) << low) - 1);
+  const u128 half = static_cast<u128>(1) << (low - 1);
+  const u128 sticky_span = static_cast<u128>(1) << 64;
+  r.tie = rem == half;
+  r.above = rem > half && rem - half < sticky_span;
+  r.below = rem < half && half - rem < sticky_span;
+  r.guard_only = rem > half && rem - half == sticky_span >> 1;
+  r.up = rem > half || (r.tie && ((m >> low) & 1) != 0);
+  r.carry = r.up && (m >> low) == (static_cast<u128>(1) << (r.fr + 1)) - 1;
+  return r;
+}
+
+/// The cases the product rounding of the 64-bit grids argues about,
+/// against T's own *: random 120-bit products essentially never land on a
+/// tie, so the sampled oracles do not reach them. For binade pairs whose
+/// product lands in the dense binades, the tapered ones, the fallback ones
+/// and beyond the range, operands are built so that the exact product lies
+/// on a tie (rounding down and up), one unit of its last bit above or below
+/// one, or the guard bit alone above one (only guard and sticky tell these
+/// from the tie), with its top bit at 126 and at 127. An all-ones
+/// significand times a power of two or times another all-ones one carries
+/// into the next binade. Both signs, both orders, and zero and NaR
+/// operands. A carry at top bit 127 needs a result binade with fewer
+/// fraction bits than both operands' by 2 or more, which posit's regime
+/// gives from 2^12 up and takum's logarithmic taper never does;
+/// `carries_at_127` says whether the grid has one.
+template <typename T>
+void expect_products_64(bool carries_at_127) {
+  static_assert(width<T>() == 64);
+  using Grid = typename detail::GridFor<T>::type;
+  constexpr int kDense = Grid::kSignificantBits - 1;
+  Tally tally(NumTraits<T>::name() + " products");
+  const auto check = [&](T a, T b) {
+    for (const T x : {a, -a}) {
+      for (const T y : {b, -b}) {
+        tally.check(matches(OnGrid<T>(x) * OnGrid<T>(y), x * y) &&
+                        matches(OnGrid<T>(y) * OnGrid<T>(x), y * x),
+                    [&] { return op_detail(Op::mul, x.bits(), y.bits()); });
+      }
+    }
+  };
+  // The value with significand sig << (63 - fb) in binade e, which must be
+  // on the grid.
+  const auto value = [&](int e, int fb, u128 sig) {
+    const auto m = static_cast<std::uint64_t>(sig << (63 - fb));
+    const T x = T::from_exact(ExactResult{false, e, m, false, false});
+    tally.check(x.unpack().e == e && x.unpack().m == m,
+                [&] { return "operand not on the grid in binade " + std::to_string(e); });
+    return x;
+  };
+  // Fraction bits of binade e's values: -1 where 2^e is not one, 0 where it
+  // is the binade's only value the table vouches for.
+  const auto operand_bits = [](int e) {
+    const int fb = Grid::fraction_bits(e);
+    if (fb > 0) return fb;
+    const Unpacked u = T::from_exact(ExactResult{false, e, std::uint64_t{1} << 63, false, false}).unpack();
+    return u.e == e && u.m == std::uint64_t{1} << 63 ? 0 : -1;
+  };
+
+  // Hits per case and top bit (126, 127).
+  enum Case { kTieDown, kTieUp, kAbove, kBelow, kGuardOnly, kCarry, kDenseTie, kTaperedTie, kCases };
+  int hits[kCases][2] = {};
+  int fallback = 0;
+  const auto run = [&](int ea, int fa, u128 a, int eb, int fb, u128 b) {
+    check(value(ea, fa, a), value(eb, fb, b));
+    const ProductRounding r = classify_product<T>(ea, static_cast<std::uint64_t>(a << (63 - fa)), eb,
+                                                  static_cast<std::uint64_t>(b << (63 - fb)));
+    const int t = r.top127 ? 1 : 0;
+    fallback += r.fr <= 0 ? 1 : 0;
+    hits[kTieDown][t] += r.tie && !r.up ? 1 : 0;
+    hits[kTieUp][t] += r.tie && r.up ? 1 : 0;
+    hits[kAbove][t] += r.above ? 1 : 0;
+    hits[kBelow][t] += r.below ? 1 : 0;
+    hits[kGuardOnly][t] += r.guard_only ? 1 : 0;
+    hits[kCarry][t] += r.carry ? 1 : 0;
+    hits[kDenseTie][t] += r.tie && r.fr == kDense ? 1 : 0;
+    hits[kTaperedTie][t] += r.tie && r.fr > 0 && r.fr < kDense ? 1 : 0;
+  };
+
+  SplitMix64 sm(0x9e0d);
+  const auto ones = [](int bits) { return (static_cast<u128>(1) << bits) - 1; };
+  // Significands a (fa fraction bits, odd) and b (fb) whose product a * b,
+  // read as the 128-bit product of the operands, lies `offset` units of its
+  // last bit above half an ulp of binade ea + eb + t (kGuard: the guard bit
+  // alone, 2^(fa + fb - 64 + t) in those units): the residue of a * b below
+  // that ulp (w bits) is 2^(w-1) + offset, so b's low w bits are that
+  // residue times the inverse of a mod 2^w. Builds nothing where the
+  // product is on the grid anyway or b's forced bits leave its binade.
+  constexpr int kGuard = 2;
+  const auto near_tie = [&](int ea, int fa, int eb, int fb, int t, int offset) {
+    const int fr = Grid::fraction_bits(ea + eb + t);
+    const int w = fa + fb - fr + t;
+    const int guard = fa + fb - 64 + t;
+    if (fr <= 0 || w < 2 || (offset == kGuard && guard < 0)) return;
+    const u128 above = offset == kGuard ? static_cast<u128>(1) << guard : static_cast<u128>(offset);
+    const u128 a = (static_cast<u128>(1) << fa) | (sm.next() & ones(fa)) | 1;
+    u128 inverse = a;  // Newton: each step doubles the correct low bits
+    for (int k = 0; k < 7; ++k) inverse *= 2 - a * inverse;
+    const u128 residue = ((static_cast<u128>(1) << (w - 1)) + above) * inverse & ones(w);
+    u128 b = residue;
+    if (w <= fb) {
+      b |= ((static_cast<u128>(1) << fb) | (sm.next() & ones(fb))) & ~ones(w);
+    } else if ((b >> fb) != 1) {
+      return;
+    }
+    run(ea, fa, a, eb, fb, b);
+  };
+
+  const int emin = T::min_positive().unpack().e;
+  const int emax = T::max_positive().unpack().e;
+  for (int ea = emin; ea <= emax; ++ea) {
+    const int fa = operand_bits(ea);
+    if (fa < 0) continue;
+    // Every 16th binade, and the ones whose products land near 1 (dense).
+    std::vector<int> partners;
+    for (int eb = emin + (ea & 15); eb <= emax; eb += 16) partners.push_back(eb);
+    for (int d = -2; d <= 1; ++d) partners.push_back(d - ea);
+    for (const int eb : partners) {
+      const int fb = operand_bits(eb);
+      if (fb < 0) continue;
+      for (int t = 0; t <= 1; ++t) {
+        for (const int offset : {0, 0, 1, -1, kGuard}) near_tie(ea, fa, eb, fb, t, offset);
+      }
+      // A power of two and an all-ones significand, and two all-ones ones.
+      run(ea, fa, static_cast<u128>(1) << fa, eb, fb, ones(fb + 1));
+      run(ea, fa, ones(fa + 1), eb, fb, ones(fb + 1));
+      // Random operands: the exact engine's binades and saturation included.
+      run(ea, fa, (static_cast<u128>(1) << fa) | (sm.next() & ones(fa)), eb, fb,
+          (static_cast<u128>(1) << fb) | (sm.next() & ones(fb)));
+    }
+  }
+
+  // Two ties near 1, where both grids keep 59 fraction bits.
+  // (1 + 2^-30)^2 = 1 + 2^-29 + 2^-60 lies half an ulp above 1 + 2^-29,
+  // whose last bit is even: down.
+  const T near_one = value(0, 59, (static_cast<u128>(1) << 59) | (static_cast<u128>(1) << 29));
+  EXPECT_EQ((OnGrid<T>(near_one) * OnGrid<T>(near_one)).to_double(), 1.0 + 0x1p-29);
+  check(near_one, near_one);
+  // 1.5 * (1 + 2^-59) = 1.5 + 2^-59 + 2^-60, half an ulp above an odd last
+  // bit: up to 1.5 + 2^-58.
+  const T three_halves = value(0, 1, 3);
+  const T next_after_one = value(0, 59, (static_cast<u128>(1) << 59) | 1);
+  const Unpacked up = (OnGrid<T>(three_halves) * OnGrid<T>(next_after_one)).to_format().unpack();
+  EXPECT_EQ(up.e, 0);
+  EXPECT_EQ(up.m, (std::uint64_t{3} << 62) + (std::uint64_t{1} << 5));
+  check(three_halves, next_after_one);
+
+  // Zero and NaR against each other and against numbers.
+  for (const T special : {T(0), T::nar()}) {
+    for (const T x : {T(0), T::nar(), T(1), T(-0.3), T::min_positive(), T::max_positive()}) check(special, x);
+  }
+
+  const char* names[kCases] = {"ties rounding down", "ties rounding up", "products just above a tie",
+                               "products just below a tie", "products a guard bit above a tie",
+                               "carries into the next binade", "ties in the dense binades",
+                               "ties in the tapered binades"};
+  for (int c = 0; c < kCases; ++c) {
+    for (int t = 0; t <= 1; ++t) {
+      if (c == kCarry && t == 1 && !carries_at_127) continue;
+      EXPECT_GT(hits[c][t], 0) << NumTraits<T>::name() << ": no " << names[c] << " with top bit " << 126 + t;
+    }
+  }
+  EXPECT_GT(fallback, 100) << NumTraits<T>::name() << ": too few products in the exact engine's binades";
+}
+
+TEST(OnGridProducts64, Posit64TiesCarriesAndFallbackBinades) { expect_products_64<Posit64>(true); }
+
+TEST(OnGridProducts64, Takum64TiesCarriesAndFallbackBinades) { expect_products_64<Takum64>(false); }
 
 // ---- The resident formats ---------------------------------------------------------
 
