@@ -7,7 +7,8 @@
 // median eigenvector errors with buffer = 0 vs 2 on a cluster-heavy corpus.
 #include <cstdio>
 
-#include "figure_common.hpp"
+#include "api/api.hpp"
+#include "bench_scale.hpp"
 
 namespace {
 
@@ -41,8 +42,7 @@ std::vector<TestMatrix> clustered_corpus(std::size_t count) {
   return out;
 }
 
-template <typename T>
-void run_buffer(const char* label, const std::vector<TestMatrix>& corpus, std::size_t buffer) {
+void run_buffer(FormatId id, const std::vector<TestMatrix>& corpus, std::size_t buffer) {
   ExperimentConfig cfg;
   cfg.buffer = buffer;
   cfg.max_restarts = 80;
@@ -53,7 +53,7 @@ void run_buffer(const char* label, const std::vector<TestMatrix>& corpus, std::s
     const auto start = rng.unit_vector(tm.n());
     const auto ref = compute_reference(tm, cfg, start);
     if (!ref.ok) continue;
-    const auto run = run_format<T>(tm, ref, cfg, start, FormatId::float64);
+    const auto run = run_format_dynamic(tm, ref, cfg, start, id);
     if (run.outcome == RunOutcome::ok) {
       vec_errs.push_back(std::log10(std::max(run.eigenvector_error.relative, 1e-40)));
     } else {
@@ -66,8 +66,8 @@ void run_buffer(const char* label, const std::vector<TestMatrix>& corpus, std::s
     return vec_errs[static_cast<std::size_t>(p * (static_cast<double>(vec_errs.size()) - 1) +
                                              0.5)];
   };
-  std::printf("%-22s buffer=%zu %8.2f %8.2f %8.2f %6zu\n", label, buffer, pct(0.25), pct(0.5),
-              pct(0.75), omega);
+  std::printf("%-22s buffer=%zu %8.2f %8.2f %8.2f %6zu\n", format_info(id).name.c_str(), buffer,
+              pct(0.25), pct(0.5), pct(0.75), omega);
 }
 
 }  // namespace
@@ -78,12 +78,10 @@ int main() {
   std::printf("=== Ablation A5: eigenvalue buffer count (paper §2.2) ===\n");
   std::printf("clustered-spectrum corpus: %zu matrices\n\n", corpus.size());
   std::printf("%-22s %-9s %8s %8s %8s %6s\n", "format", "", "p25", "median", "p75", "omega");
-  run_buffer<Float16>("float16", corpus, 0);
-  run_buffer<Float16>("float16", corpus, 2);
-  run_buffer<Posit16>("posit16", corpus, 0);
-  run_buffer<Posit16>("posit16", corpus, 2);
-  run_buffer<float>("float32", corpus, 0);
-  run_buffer<float>("float32", corpus, 2);
+  for (const FormatId id : {FormatId::float16, FormatId::posit16, FormatId::float32}) {
+    run_buffer(id, corpus, 0);
+    run_buffer(id, corpus, 2);
+  }
   std::printf(
       "\nReading: log10 eigenvector relative errors. Without the buffer, cluster\n"
       "permutations at the nev boundary inflate apparent errors; buffer = 2\n"

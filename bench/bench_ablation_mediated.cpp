@@ -17,7 +17,8 @@
 //      stacks). This caps posit64's effective precision at 53 bits.
 #include <cstdio>
 
-#include "figure_common.hpp"
+#include "api/api.hpp"
+#include "bench_scale.hpp"
 
 namespace mfla {
 
@@ -86,11 +87,13 @@ struct Row {
   std::string label;
   std::vector<double> eig_log10;
   std::size_t omega = 0;
+  std::size_t sigma = 0;
 };
 
 void print_rows(const char* title, const std::vector<Row>& rows) {
   std::printf("-- %s --\n", title);
-  std::printf("%-22s %8s %8s %8s %6s\n", "configuration", "p25", "median", "p75", "omega");
+  std::printf("%-22s %8s %8s %8s %6s %6s\n", "configuration", "p25", "median", "p75", "omega",
+              "sigma");
   for (const auto& r : rows) {
     auto sorted = r.eig_log10;
     std::sort(sorted.begin(), sorted.end());
@@ -98,8 +101,8 @@ void print_rows(const char* title, const std::vector<Row>& rows) {
       if (sorted.empty()) return std::nan("");
       return sorted[static_cast<std::size_t>(p * (static_cast<double>(sorted.size()) - 1) + 0.5)];
     };
-    std::printf("%-22s %8.2f %8.2f %8.2f %6zu\n", r.label.c_str(), pct(0.25), pct(0.5), pct(0.75),
-                r.omega);
+    std::printf("%-22s %8.2f %8.2f %8.2f %6zu %6zu\n", r.label.c_str(), pct(0.25), pct(0.5),
+                pct(0.75), r.omega, r.sigma);
   }
   std::printf("\n");
 }
@@ -108,7 +111,6 @@ template <typename T>
 Row run_config(const std::string& label, const std::vector<TestMatrix>& corpus,
                ReflectorStyle style) {
   ExperimentConfig cfg;
-  cfg.max_restarts = 60;
   Row row;
   row.label = label;
   for (const auto& tm : corpus) {
@@ -116,13 +118,20 @@ Row run_config(const std::string& label, const std::vector<TestMatrix>& corpus,
     const auto start = rng.unit_vector(tm.n());
     const auto ref = compute_reference(tm, cfg, start);
     if (!ref.ok) continue;
-    // Same run as the main pipeline, but with a configurable reflector.
+    // Same run as the main pipeline (run_format<T>, core/experiment.hpp):
+    // its ∞σ pre-check and solver options, plus a configurable reflector.
+    if (matrix_exceeds_range<T>(tm.matrix)) {
+      ++row.sigma;
+      continue;
+    }
     const CsrMatrix<T> at = tm.matrix.convert<T>();
     PartialSchurOptions opts;
     opts.nev = cfg.nev + cfg.buffer;
+    opts.which = cfg.which;
     opts.tolerance = NumTraits<T>::default_tolerance();
     opts.max_restarts = cfg.max_restarts;
     opts.start_vector = &start;
+    opts.seed = fnv1a(tm.name) ^ 0x517e;
     opts.reflector_style = style;
     const auto r = partialschur<T>(at, opts);
     if (!r.converged) {

@@ -6,7 +6,8 @@
 // precision in the eigenvalue pipeline.
 #include <cstdio>
 
-#include "figure_common.hpp"
+#include "api/api.hpp"
+#include "bench_scale.hpp"
 
 namespace {
 
@@ -15,7 +16,6 @@ using namespace mfla;
 template <typename T>
 void run_es(const char* label, const std::vector<TestMatrix>& corpus) {
   ExperimentConfig cfg;
-  cfg.max_restarts = 60;
   std::vector<double> errs;
   std::size_t omega = 0, sigma = 0;
   for (const auto& tm : corpus) {

@@ -18,6 +18,11 @@ namespace {
 
 using namespace mfla;
 
+/// Operands per row: 2^20 distinct pairs, cycled, so a branch predictor
+/// cannot learn the outcomes of a short replayed sequence.
+constexpr std::size_t kOperands = std::size_t{1} << 20;
+constexpr std::size_t kOperandMask = kOperands - 1;
+
 template <typename T>
 std::vector<T> random_values(std::size_t n, double lo_exp, double hi_exp, std::uint64_t seed) {
   Rng rng(seed);
@@ -31,36 +36,36 @@ std::vector<T> random_values(std::size_t n, double lo_exp, double hi_exp, std::u
 
 template <typename T>
 void BM_Add(benchmark::State& state) {
-  const auto a = random_values<T>(1024, -2, 2, 1);
-  const auto b = random_values<T>(1024, -2, 2, 2);
+  const auto a = random_values<T>(kOperands, -2, 2, 1);
+  const auto b = random_values<T>(kOperands, -2, 2, 2);
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(a[i & 1023] + b[i & 1023]);
+    benchmark::DoNotOptimize(a[i & kOperandMask] + b[i & kOperandMask]);
     ++i;
   }
 }
 
 template <typename T>
 void BM_Mul(benchmark::State& state) {
-  const auto a = random_values<T>(1024, -2, 2, 3);
-  const auto b = random_values<T>(1024, -2, 2, 4);
+  const auto a = random_values<T>(kOperands, -2, 2, 3);
+  const auto b = random_values<T>(kOperands, -2, 2, 4);
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(a[i & 1023] * b[i & 1023]);
+    benchmark::DoNotOptimize(a[i & kOperandMask] * b[i & kOperandMask]);
     ++i;
   }
 }
 
 template <typename T>
 void BM_Div(benchmark::State& state) {
-  const auto a = random_values<T>(1024, -2, 2, 5);
-  auto b = random_values<T>(1024, 0, 2, 6);
+  const auto a = random_values<T>(kOperands, -2, 2, 5);
+  auto b = random_values<T>(kOperands, 0, 2, 6);
   for (auto& v : b) {
     if (NumTraits<T>::to_double(v) == 0.0) v = NumTraits<T>::from_double(1.0);
   }
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(a[i & 1023] / b[i & 1023]);
+    benchmark::DoNotOptimize(a[i & kOperandMask] / b[i & kOperandMask]);
     ++i;
   }
 }
@@ -74,11 +79,11 @@ T generic_sqrt(T x) {
 
 template <typename T>
 void BM_Sqrt(benchmark::State& state) {
-  auto a = random_values<T>(1024, -2, 2, 7);
+  auto a = random_values<T>(kOperands, -2, 2, 7);
   for (auto& v : a) v = NumTraits<T>::from_double(std::abs(NumTraits<T>::to_double(v)));
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(generic_sqrt(a[i & 1023]));
+    benchmark::DoNotOptimize(generic_sqrt(a[i & kOperandMask]));
     ++i;
   }
 }
@@ -86,11 +91,11 @@ void BM_Sqrt(benchmark::State& state) {
 template <typename T>
 void BM_FromDouble(benchmark::State& state) {
   Rng rng(8);
-  std::vector<double> xs(1024);
+  std::vector<double> xs(kOperands);
   for (auto& x : xs) x = rng.normal() * rng.log_uniform(-2, 2);
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(NumTraits<T>::from_double(xs[i & 1023]));
+    benchmark::DoNotOptimize(NumTraits<T>::from_double(xs[i & kOperandMask]));
     ++i;
   }
 }

@@ -2,10 +2,14 @@
 // classes built from per-category generators, with per-category counts
 // (paper Table 1 shape at reduced scale; see docs/DESIGN.md §3), plus the
 // general-matrix corpus statistics that define the Figure 1 workload.
+//
+// The class sizes below are the figures' corpus sizes: Figure N is
+// `mfla_experiment --corpus <class> --count <size>` (docs/EXPERIMENTS.md).
 #include <cstdio>
 #include <map>
 
-#include "figure_common.hpp"
+#include "api/api.hpp"
+#include "bench_scale.hpp"
 
 int main() {
   using namespace mfla;

@@ -15,10 +15,7 @@ namespace mfla::api {
 CsvSink::CsvSink(std::string path) : path_(std::move(path)) {}
 
 void CsvSink::on_done(const SweepResult& r) {
-  if (r.stats.canceled_runs != 0) {
-    skipped_ = true;
-    return;
-  }
+  if (r.stats.canceled_runs != 0) return;
   write_results_csv(path_, r.results);
 }
 

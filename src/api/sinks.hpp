@@ -101,12 +101,9 @@ class CsvSink final : public ResultSink {
   explicit CsvSink(std::string path);
   void on_done(const SweepResult& r) override;
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
-  /// True when on_done skipped the write because the sweep was canceled.
-  [[nodiscard]] bool skipped_incomplete() const noexcept { return skipped_; }
 
  private:
   std::string path_;
-  bool skipped_ = false;
 };
 
 /// Records every event in arrival order; for tests and in-process

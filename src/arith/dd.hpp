@@ -24,10 +24,7 @@
 #pragma once
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
-#include <string>
 
 namespace mfla {
 
@@ -179,21 +176,6 @@ struct DoubleDouble {
   const DoubleDouble err = x - s * s;
   const double corr = err.hi / (2.0 * approx);
   return DoubleDouble::normalized(approx, corr);
-}
-
-/// Exact textual form: both components in C99 hex-float. Round-trips
-/// bit-for-bit through dd_from_string (including -0.0, denormals, inf/NaN).
-[[nodiscard]] inline std::string dd_to_string(DoubleDouble x) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%a;%a", x.hi, x.lo);
-  return buf;
-}
-
-[[nodiscard]] inline DoubleDouble dd_from_string(const std::string& s) {
-  const std::size_t sep = s.find(';');
-  if (sep == std::string::npos) return {std::strtod(s.c_str(), nullptr), 0.0};
-  return {std::strtod(s.substr(0, sep).c_str(), nullptr),
-          std::strtod(s.c_str() + sep + 1, nullptr)};
 }
 
 }  // namespace mfla

@@ -26,14 +26,6 @@ const std::vector<FormatInfo>& all_formats() {
   return table;
 }
 
-std::vector<FormatInfo> formats_for_width(int bits) {
-  std::vector<FormatInfo> out;
-  for (const auto& f : all_formats()) {
-    if (f.bits == bits) out.push_back(f);
-  }
-  return out;
-}
-
 const FormatInfo& format_info(FormatId id) {
   for (const auto& f : all_formats()) {
     if (f.id == id) return f;
@@ -101,6 +93,15 @@ std::vector<FormatId> parse_format_keys(const std::string& spec) {
     throw std::invalid_argument("format list must name at least one key (valid keys: " +
                                 valid_keys_list() + ")");
   return out;
+}
+
+std::string format_keys(const std::vector<FormatId>& ids) {
+  std::string keys;
+  for (const FormatId id : ids) {
+    if (!keys.empty()) keys += ',';
+    keys += format_key(id);
+  }
+  return keys;
 }
 
 }  // namespace mfla

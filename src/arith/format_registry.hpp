@@ -45,10 +45,6 @@ struct FormatInfo {
 /// All formats of the study, in the paper's presentation order.
 [[nodiscard]] const std::vector<FormatInfo>& all_formats();
 
-/// The formats evaluated at a given bit width (8, 16, 32 or 64), in the
-/// paper's legend order.
-[[nodiscard]] std::vector<FormatInfo> formats_for_width(int bits);
-
 [[nodiscard]] const FormatInfo& format_info(FormatId id);
 
 /// The short selection key of a format ("t16", "bf16", ...), as accepted
@@ -68,6 +64,10 @@ struct FormatInfo {
 /// reference arithmetic is not a format under evaluation) all throw
 /// std::invalid_argument with a message naming the offending token.
 [[nodiscard]] std::vector<FormatId> parse_format_keys(const std::string& spec);
+
+/// The comma-separated keys of `ids` in order ("f16,bf16,t16"): the
+/// spelling parse_format_keys reads back.
+[[nodiscard]] std::string format_keys(const std::vector<FormatId>& ids);
 
 template <typename T>
 struct TypeTag {

@@ -74,9 +74,8 @@ inline constinit Lut8Data lut8_data{};
 template <typename T>
 class Lut8 {
  public:
-  using Codec = ScalarCodec<T>;
-  using Storage = typename Codec::Storage;
-  static_assert(Codec::bits == 8 && sizeof(Storage) == 1);
+  using Storage = typename T::Storage;
+  static_assert(T::kBits == 8 && sizeof(Storage) == 1);
 
   /// Builds the tables on the first call.
   [[nodiscard]] static const Lut8& instance() noexcept {
@@ -87,17 +86,17 @@ class Lut8 {
  private:
   Lut8() noexcept {
     detail::Lut8Data& t = d();
-    for (unsigned a = 0; a < 256; ++a) t.dec[a] = Codec::bits_to_double(static_cast<Storage>(a));
+    for (unsigned a = 0; a < 256; ++a) t.dec[a] = T::from_bits(static_cast<Storage>(a)).to_double();
     for (unsigned a = 0; a < 256; ++a) {
       const double x = t.dec[a];
-      t.sqrt[a] = Codec::bits_from_double(std::sqrt(x));
+      t.sqrt[a] = T::from_double(std::sqrt(x)).bits();
       for (unsigned b = 0; b < 256; ++b) {
         const double y = t.dec[b];
         const std::size_t i = (a << 8) | b, mirror = (b << 8) | a;
-        t.div[i] = Codec::bits_from_double(x / y);
+        t.div[i] = T::from_double(x / y).bits();
         if (b < a) continue;
-        t.add[i] = t.add[mirror] = Codec::bits_from_double(x + y);
-        t.mul[i] = t.mul[mirror] = Codec::bits_from_double(x * y);
+        t.add[i] = t.add[mirror] = T::from_double(x + y).bits();
+        t.mul[i] = t.mul[mirror] = T::from_double(x * y).bits();
       }
     }
   }

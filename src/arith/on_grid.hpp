@@ -640,7 +640,7 @@ struct ByteGrid {
 };
 
 template <typename T>
-concept ByteFormat = HasScalarCodec<T> && ScalarCodec<T>::bits == 8;
+concept ByteFormat = requires { typename T::Storage; } && T::kBits == 8;
 
 template <typename T>
 struct GridFor;  // formats without a resident grid have none

@@ -10,7 +10,6 @@
 //   * to_double / from_double
 #pragma once
 
-#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -135,87 +134,6 @@ struct NumTraits<Takum<N>> {
   static double to_double(T x) noexcept { return x.to_double(); }
   static T from_double(double x) noexcept { return T::from_double(x); }
 };
-
-// ---------------------------------------------------------------------------
-// ScalarCodec<T>: uniform bit-level codec surface for the emulated formats.
-//
-// Where NumTraits<T> speaks in values, ScalarCodec<T> speaks in encodings:
-// bits <-> T and bits <-> double. The exact engines (SoftFloat,
-// TaperedFloat) implement these operations; ScalarCodec exposes them
-// uniformly so the 8-bit table builder (arith/lut8.hpp) and the exhaustive
-// bit-identity tests can enumerate and decode every encoding of a format
-// without knowing its family.
-// Native float/double/Quad have no codec.
-// ---------------------------------------------------------------------------
-
-template <typename T>
-struct ScalarCodec;  // primary template intentionally undefined
-
-template <int E, int M, Flavor F>
-struct ScalarCodec<SoftFloat<E, M, F>> {
-  using Scalar = SoftFloat<E, M, F>;
-  using Storage = typename Scalar::Storage;
-  static constexpr int bits = Scalar::kBits;
-  static constexpr bool tapered = false;
-  [[nodiscard]] static constexpr Storage to_bits(Scalar x) noexcept { return x.bits(); }
-  [[nodiscard]] static constexpr Scalar from_bits(Storage b) noexcept {
-    return Scalar::from_bits(b);
-  }
-  [[nodiscard]] static constexpr double bits_to_double(Storage b) noexcept {
-    return Scalar::from_bits(b).to_double();
-  }
-  [[nodiscard]] static constexpr Storage bits_from_double(double d) noexcept {
-    return Scalar::from_double(d).bits();
-  }
-};
-
-template <class Codec>
-struct ScalarCodec<TaperedFloat<Codec>> {
-  using Scalar = TaperedFloat<Codec>;
-  using Storage = typename Scalar::Storage;
-  static constexpr int bits = Scalar::kBits;
-  static constexpr bool tapered = true;
-  [[nodiscard]] static constexpr Storage to_bits(Scalar x) noexcept { return x.bits(); }
-  [[nodiscard]] static constexpr Scalar from_bits(Storage b) noexcept {
-    return Scalar::from_bits(b);
-  }
-  [[nodiscard]] static double bits_to_double(Storage b) noexcept {
-    return Scalar::from_bits(b).to_double();
-  }
-  [[nodiscard]] static Storage bits_from_double(double d) noexcept {
-    return Scalar::from_double(d).bits();
-  }
-};
-
-/// dd's codec speaks in the packed bit patterns of its two components
-/// (hi in the upper 64 bits). It exists so codec-keyed dispatch, the
-/// reference-tier cache keying and the round-trip tests can treat dd
-/// uniformly with the other emulated formats.
-template <>
-struct ScalarCodec<DoubleDouble> {
-  using Scalar = DoubleDouble;
-  using Storage = unsigned __int128;
-  static constexpr int bits = 128;
-  static constexpr bool tapered = false;
-  [[nodiscard]] static Storage to_bits(Scalar x) noexcept {
-    return (static_cast<Storage>(std::bit_cast<std::uint64_t>(x.hi)) << 64) |
-           std::bit_cast<std::uint64_t>(x.lo);
-  }
-  [[nodiscard]] static Scalar from_bits(Storage b) noexcept {
-    return {std::bit_cast<double>(static_cast<std::uint64_t>(b >> 64)),
-            std::bit_cast<double>(static_cast<std::uint64_t>(b))};
-  }
-  [[nodiscard]] static double bits_to_double(Storage b) noexcept {
-    return from_bits(b).to_double();
-  }
-  [[nodiscard]] static Storage bits_from_double(double d) noexcept {
-    return to_bits(Scalar::from_double(d));
-  }
-};
-
-/// Formats with a bit-level codec (everything software-emulated here).
-template <typename T>
-concept HasScalarCodec = requires { typename ScalarCodec<T>::Storage; };
 
 /// Did converting `x` into format T lose the value entirely (zero, infinity
 /// or NaN from a finite non-zero input)? This is the paper's per-matrix

@@ -34,10 +34,6 @@ struct Distribution {
     return sorted_log10[idx];
   }
   [[nodiscard]] double median() const { return percentile(50.0); }
-  [[nodiscard]] double failure_fraction() const {
-    return n_total == 0 ? 0.0
-                        : static_cast<double>(n_omega + n_sigma) / static_cast<double>(n_total);
-  }
 };
 
 /// Clamp used for log10(0) (exact zeros plot at the paper's bottom edge).
@@ -78,25 +74,6 @@ inline constexpr double kLogFloor = -40.0;
   }
   std::sort(d.sorted_log10.begin(), d.sorted_log10.end());
   return d;
-}
-
-/// All distributions for a width panel (paper figure row): the formats at
-/// `bits`, eigenvalues and eigenvectors.
-struct PanelDistributions {
-  int bits = 0;
-  std::vector<Distribution> eigenvalues;
-  std::vector<Distribution> eigenvectors;
-};
-
-[[nodiscard]] inline PanelDistributions build_panel(const std::vector<MatrixResult>& results,
-                                                    int bits) {
-  PanelDistributions p;
-  p.bits = bits;
-  for (const auto& f : formats_for_width(bits)) {
-    p.eigenvalues.push_back(build_distribution(results, f.id, false));
-    p.eigenvectors.push_back(build_distribution(results, f.id, true));
-  }
-  return p;
 }
 
 }  // namespace mfla

@@ -12,6 +12,10 @@
 
 namespace mfla {
 
+/// Matrices per corpus class when a front end is given no count: the
+/// default of mfla_experiment --count and of the daemon's "count" field.
+inline constexpr std::size_t kDefaultCorpusCount = 24;
+
 /// "general" builds `count` matrices of the general corpus; "biological",
 /// "infrastructure", "social" or "miscellaneous" builds `count` graphs of
 /// that class. Any other name throws std::invalid_argument naming the

@@ -228,34 +228,6 @@ CooMatrix disjoint_union(const CooMatrix& a, const CooMatrix& b) {
   return u;
 }
 
-CooMatrix rmat(std::uint32_t scale, std::uint32_t edges_per_vertex, double a, double b, double c,
-               Rng& rng) {
-  const std::uint32_t n = 1u << scale;
-  const std::uint64_t target = static_cast<std::uint64_t>(edges_per_vertex) * n;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-  edges.reserve(target);
-  for (std::uint64_t k = 0; k < target; ++k) {
-    std::uint32_t u = 0, v = 0;
-    for (std::uint32_t bit = 0; bit < scale; ++bit) {
-      const double r = rng.uniform();
-      u <<= 1;
-      v <<= 1;
-      if (r < a) {
-        // top-left quadrant: no bits set
-      } else if (r < a + b) {
-        v |= 1;
-      } else if (r < a + b + c) {
-        u |= 1;
-      } else {
-        u |= 1;
-        v |= 1;
-      }
-    }
-    if (u != v) edges.emplace_back(u, v);
-  }
-  return from_edges(n, edges);
-}
-
 CooMatrix add_hubs(const CooMatrix& g, std::uint32_t hubs, std::uint32_t degree, Rng& rng) {
   const auto n0 = static_cast<std::uint32_t>(g.rows());
   CooMatrix out(n0 + hubs, n0 + hubs);

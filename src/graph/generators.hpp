@@ -67,10 +67,4 @@ namespace mfla {
 [[nodiscard]] CooMatrix add_hubs(const CooMatrix& g, std::uint32_t hubs, std::uint32_t degree,
                                  Rng& rng);
 
-/// R-MAT / Kronecker-style recursive random graph (graph500 category):
-/// 2^scale vertices, `edges_per_vertex` * 2^scale edge samples distributed
-/// by the (a, b, c) quadrant probabilities.
-[[nodiscard]] CooMatrix rmat(std::uint32_t scale, std::uint32_t edges_per_vertex, double a,
-                             double b, double c, Rng& rng);
-
 }  // namespace mfla

@@ -23,6 +23,37 @@ std::string hex64(std::uint64_t v) {
 
 }  // namespace
 
+const char* which_name(Which w) {
+  switch (w) {
+    case Which::largest_magnitude: return "largest_magnitude";
+    case Which::smallest_magnitude: return "smallest_magnitude";
+    case Which::largest_real: return "largest_real";
+    case Which::smallest_real: return "smallest_real";
+  }
+  return "unknown";
+}
+
+Which which_from_name(const std::string& name) {
+  for (const Which w : {Which::largest_magnitude, Which::smallest_magnitude,
+                        Which::largest_real, Which::smallest_real}) {
+    if (name == which_name(w)) return w;
+  }
+  throw std::invalid_argument(
+      "unknown which '" + name +
+      "' (expected largest_magnitude|smallest_magnitude|largest_real|smallest_real)");
+}
+
+ExperimentConfig experiment_config(const SweepRequest& r) {
+  ExperimentConfig cfg;
+  cfg.nev = r.nev;
+  cfg.buffer = r.buffer;
+  cfg.which = which_from_name(r.which);
+  cfg.max_restarts = r.restarts;
+  cfg.seed = r.seed;
+  cfg.reference_tier = reference_tier_from_name(r.ref_tier);
+  return cfg;
+}
+
 bool parse_request(const std::string& line, Request& out, std::string& error) {
   std::map<std::string, std::string> obj;
   if (!jsonl::parse_line(line, obj)) {

@@ -30,7 +30,9 @@
 #include <vector>
 
 #include "api/sinks.hpp"
+#include "api/sweep.hpp"
 #include "core/experiment.hpp"
+#include "datasets/corpus.hpp"
 #include "datasets/test_matrix.hpp"
 
 namespace mfla::serve {
@@ -48,25 +50,37 @@ inline constexpr std::size_t kMaxRequestBytes = 64 * 1024;
 /// small, but matrix names are caller-controlled).
 inline constexpr std::size_t kMaxEventBytes = 1024 * 1024;
 
-/// A serialized api::Sweep spec over the built-in corpora. Field defaults
-/// match mfla_experiment's CLI defaults, so the same spec submitted to the
-/// daemon and run as a batch yields byte-identical CSVs.
+/// The request spelling of a Which ("largest_magnitude", "smallest_magnitude",
+/// "largest_real", "smallest_real"), and back; which_from_name throws
+/// std::invalid_argument naming the valid spellings.
+[[nodiscard]] const char* which_name(Which w);
+[[nodiscard]] Which which_from_name(const std::string& name);
+
+/// A serialized api::Sweep spec over the built-in corpora. Every default is
+/// the library's: ExperimentConfig{}, api::evaluation_formats() and
+/// kDefaultCorpusCount, which mfla_experiment reads too, so the same spec
+/// submitted to the daemon and run as a batch yields byte-identical CSVs.
 struct SweepRequest {
   std::string tenant = "default";  ///< fair-share admission bucket
   /// "general" or a graph class: biological|infrastructure|social|miscellaneous.
   std::string corpus = "general";
-  std::size_t count = 24;  ///< matrices per corpus class
-  std::string formats = "f16,bf16,p16,t16,f32,p32,t32,f64,p64,t64";
-  std::size_t nev = 10;
-  std::size_t buffer = 2;
-  int restarts = 80;
-  std::string which = "largest_magnitude";
-  std::uint64_t seed = 0xa11ce;  ///< ExperimentConfig::seed default
-  std::string ref_tier = "f128_only";
+  std::size_t count = kDefaultCorpusCount;  ///< matrices per corpus class
+  std::string formats = format_keys(api::evaluation_formats());
+  std::size_t nev = ExperimentConfig{}.nev;
+  std::size_t buffer = ExperimentConfig{}.buffer;
+  int restarts = ExperimentConfig{}.max_restarts;
+  std::string which = which_name(ExperimentConfig{}.which);
+  std::uint64_t seed = ExperimentConfig{}.seed;
+  std::string ref_tier = reference_tier_name(ExperimentConfig{}.reference_tier);
   /// Resume this sweep's server-side journal when one exists (a retried
   /// request recomputes only what its predecessor didn't finish).
   bool resume = true;
 };
+
+/// The numerical configuration a request asks for: ExperimentConfig{} with
+/// the request's nev, buffer, restarts, which, seed and reference tier.
+/// Throws std::invalid_argument on an unknown which or tier.
+[[nodiscard]] ExperimentConfig experiment_config(const SweepRequest& r);
 
 struct Request {
   enum class Kind { sweep, stats };

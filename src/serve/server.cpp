@@ -21,16 +21,6 @@ namespace mfla::serve {
 
 namespace {
 
-Which which_from_name(const std::string& name) {
-  if (name == "largest_magnitude") return Which::largest_magnitude;
-  if (name == "smallest_magnitude") return Which::smallest_magnitude;
-  if (name == "largest_real") return Which::largest_real;
-  if (name == "smallest_real") return Which::smallest_real;
-  throw std::invalid_argument(
-      "unknown which '" + name +
-      "' (expected largest_magnitude|smallest_magnitude|largest_real|smallest_real)");
-}
-
 /// ResultSink that serializes every engine event onto the connection
 /// socket. The engine already serializes event delivery under one lock, so
 /// this sink needs no locking of its own. A failed send marks the stream
@@ -206,15 +196,13 @@ void Server::run_sweep(Conn& conn, const SweepRequest& req) {
   // Validate and build everything BEFORE admission — a bad request must
   // cost a slot to nobody.
   std::vector<FormatId> formats;
-  Which which{};
-  ReferenceTier tier{};
+  ExperimentConfig config;
   std::vector<TestMatrix> dataset;
   try {
     if (req.nev == 0) throw std::invalid_argument("nev must be positive");
     if (req.count == 0) throw std::invalid_argument("count must be positive");
     formats = parse_format_keys(req.formats);
-    which = which_from_name(req.which);
-    tier = reference_tier_from_name(req.ref_tier);
+    config = experiment_config(req);
     dataset = build_named_corpus(req.corpus, req.count);
   } catch (const std::exception& e) {
     malformed_.fetch_add(1, std::memory_order_relaxed);
@@ -288,12 +276,7 @@ void Server::run_sweep(Conn& conn, const SweepRequest& req) {
   try {
     result = api::Sweep::over(std::move(dataset))
                  .formats(formats)
-                 .nev(req.nev)
-                 .buffer(req.buffer)
-                 .which(which)
-                 .restarts(req.restarts)
-                 .seed(req.seed)
-                 .reference_tier(tier)
+                 .config(config)
                  .pool(&pool_)
                  .cancel(&conn.cancel)
                  .cache(&cache_)

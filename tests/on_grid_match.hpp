@@ -14,9 +14,9 @@ namespace mfla {
 /// are canonical, the value decoded from the engine's result.
 template <typename T>
 [[nodiscard]] bool matches(OnGrid<T> got, T want) {
-  if constexpr (ScalarCodec<T>::bits == 8) {
+  if constexpr (T::kBits == 8) {
     return got.to_format().bits() == want.bits();
-  } else if constexpr (ScalarCodec<T>::bits == 64) {
+  } else if constexpr (T::kBits == 64) {
     return got.to_format().bits() == want.bits() && got == OnGrid<T>(want);
   } else {
     return std::bit_cast<std::uint64_t>(got.to_double()) ==
@@ -27,7 +27,7 @@ template <typename T>
 /// Two values on one grid are the same value, by the same comparison.
 template <typename T>
 [[nodiscard]] bool matches(OnGrid<T> got, OnGrid<T> want) {
-  if constexpr (ScalarCodec<T>::bits == 8 || ScalarCodec<T>::bits == 64) {
+  if constexpr (T::kBits == 8 || T::kBits == 64) {
     return matches(got, want.to_format());
   } else {
     return std::bit_cast<std::uint64_t>(got.to_double()) ==

@@ -116,6 +116,9 @@ TEST(FormatRegistry, ParseFormatKeys) {
   EXPECT_EQ(ids[0], FormatId::float16);
   EXPECT_EQ(ids[1], FormatId::bfloat16);
   EXPECT_EQ(ids[2], FormatId::takum16);
+  EXPECT_EQ(format_keys(ids), "f16,bf16,t16");
+  EXPECT_EQ(parse_format_keys(format_keys(api::evaluation_formats())),
+            api::evaluation_formats());
   EXPECT_THROW((void)parse_format_keys("f16,zzz"), std::invalid_argument);
   EXPECT_THROW((void)parse_format_keys("f16,f16"), std::invalid_argument);
   EXPECT_THROW((void)parse_format_keys(""), std::invalid_argument);

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <limits>
+#include <map>
 
 #include "arith/format_registry.hpp"
 #include "arith/traits.hpp"
@@ -200,14 +201,14 @@ TYPED_TEST(ArithProperty, ToleranceMatchesPaper) {
 
 TEST(FormatRegistry, SixteenFormats) {
   EXPECT_EQ(all_formats().size(), 16u);
-  EXPECT_EQ(formats_for_width(8).size(), 4u);
-  EXPECT_EQ(formats_for_width(16).size(), 4u);
-  EXPECT_EQ(formats_for_width(32).size(), 3u);
-  EXPECT_EQ(formats_for_width(64).size(), 3u);
-  // Both 128-bit entries are reference-only: dd (the fast tier) and
-  // float128 (the oracle); neither is a format under evaluation.
-  EXPECT_EQ(formats_for_width(128).size(), 2u);
-  for (const auto& f : formats_for_width(128)) EXPECT_TRUE(f.reference_only);
+  std::map<int, std::size_t> per_width;
+  for (const auto& f : all_formats()) {
+    ++per_width[f.bits];
+    // Both 128-bit entries are reference-only: dd (the fast tier) and
+    // float128 (the oracle); neither is a format under evaluation.
+    EXPECT_EQ(f.reference_only, f.bits == 128) << f.name;
+  }
+  EXPECT_EQ(per_width, (std::map<int, std::size_t>{{8, 4}, {16, 4}, {32, 3}, {64, 3}, {128, 2}}));
 }
 
 TEST(FormatRegistry, DispatchRoundTrip) {

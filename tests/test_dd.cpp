@@ -220,7 +220,7 @@ TEST(DoubleDoubleArith, ComparisonsAreIeeeOnNaNAndLexicographicOtherwise) {
 }
 
 // ---------------------------------------------------------------------------
-// Round-trips: double, string, codec
+// Round-trip through double
 // ---------------------------------------------------------------------------
 
 const double kRoundTripProbes[] = {0.0,
@@ -242,42 +242,6 @@ TEST(DoubleDoubleRoundTrip, DoubleConversionIsExact) {
   }
   EXPECT_TRUE(std::isnan(
       DoubleDouble::from_double(std::numeric_limits<double>::quiet_NaN()).to_double()));
-}
-
-TEST(DoubleDoubleRoundTrip, StringRoundTripIsBitExact) {
-  DoubleFuzz fuzz(0x57a7e5u);
-  std::vector<DoubleDouble> probes;
-  for (const double x : kRoundTripProbes) probes.emplace_back(x);
-  probes.push_back(DoubleDouble(1.0, 0x1p-80));
-  probes.push_back(DoubleDouble(-1.0, -5e-324));
-  for (int it = 0; it < 2000; ++it) {
-    double err;
-    const double s = dd_detail::two_sum(fuzz.bounded(30), fuzz.bounded(30), err);
-    probes.push_back(DoubleDouble(s, err));
-  }
-  for (const DoubleDouble& d : probes) {
-    const DoubleDouble back = dd_from_string(dd_to_string(d));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(back.hi), std::bit_cast<std::uint64_t>(d.hi))
-        << dd_to_string(d);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(back.lo), std::bit_cast<std::uint64_t>(d.lo))
-        << dd_to_string(d);
-  }
-  // NaN round-trips as NaN (payload bits are not promised).
-  const DoubleDouble qnan(std::numeric_limits<double>::quiet_NaN());
-  EXPECT_TRUE(std::isnan(dd_from_string(dd_to_string(qnan)).hi));
-}
-
-TEST(DoubleDoubleRoundTrip, ScalarCodecRoundTripIsBitExact) {
-  DoubleFuzz fuzz(0xc0dec0u);
-  for (int it = 0; it < 2000; ++it) {
-    double err;
-    const double s = dd_detail::two_sum(fuzz.bounded(30), fuzz.bounded(30), err);
-    const DoubleDouble d(s, err);
-    const auto bits = ScalarCodec<DoubleDouble>::to_bits(d);
-    const DoubleDouble back = ScalarCodec<DoubleDouble>::from_bits(bits);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(back.hi), std::bit_cast<std::uint64_t>(d.hi));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(back.lo), std::bit_cast<std::uint64_t>(d.lo));
-  }
   EXPECT_EQ(NumTraits<DoubleDouble>::name(), "dd");
   EXPECT_EQ(NumTraits<DoubleDouble>::bits, 128);
   EXPECT_EQ(NumTraits<DoubleDouble>::epsilon(), kDdEps);

@@ -187,7 +187,6 @@ TEST(Distribution, CountsAndPercentiles) {
   EXPECT_NEAR(d.percentile(0), -6.0, 1e-12);
   EXPECT_NEAR(d.percentile(50), -1.5, 1.0);  // index 5 -> -1
   EXPECT_TRUE(std::isnan(d.percentile(90)));  // failure tail
-  EXPECT_NEAR(d.failure_fraction(), 0.4, 1e-12);
 }
 
 TEST(Distribution, SortedSeries) {

@@ -1,8 +1,6 @@
-// Tests for the extension modules: R-MAT generator, raw-results
-// persistence.
+// Tests for raw-results persistence.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -10,33 +8,9 @@
 
 #include "core/distribution.hpp"
 #include "core/results_io.hpp"
-#include "graph/generators.hpp"
-#include "graph/laplacian.hpp"
-#include "support/rng.hpp"
 
 namespace mfla {
 namespace {
-
-// ---- R-MAT -------------------------------------------------------------------
-
-TEST(Rmat, ShapeAndSymmetry) {
-  Rng rng(1202);
-  const CooMatrix g = rmat(7, 6, 0.57, 0.19, 0.19, rng);
-  EXPECT_EQ(g.rows(), 128u);
-  EXPECT_TRUE(g.is_symmetric());
-}
-
-TEST(Rmat, SkewedDegreesVersusUniform) {
-  Rng rng(1203);
-  const CooMatrix skewed = rmat(8, 8, 0.7, 0.1, 0.1, rng);
-  const CooMatrix uniform = rmat(8, 8, 0.25, 0.25, 0.25, rng);
-  auto max_degree = [](const CooMatrix& g) {
-    double best = 0;
-    for (const double d : vertex_degrees(g)) best = std::max(best, d);
-    return best;
-  };
-  EXPECT_GT(max_degree(skewed), max_degree(uniform));
-}
 
 // ---- Results persistence ---------------------------------------------------------
 

@@ -41,7 +41,6 @@ namespace {
 template <typename T>
 void expect_same_solve(const PartialSchurResult<T>& prod, const PartialSchurResult<T>& exact,
                        const char* graph) {
-  using Codec = ScalarCodec<T>;
   const std::string at = std::string(NumTraits<T>::name()) + " on " + graph;
   EXPECT_EQ(prod.converged, exact.converged) << at;
   EXPECT_EQ(prod.nconverged, exact.nconverged) << at;
@@ -58,12 +57,12 @@ void expect_same_solve(const PartialSchurResult<T>& prod, const PartialSchurResu
   ASSERT_EQ(prod.q.cols(), exact.q.cols()) << at;
   for (std::size_t j = 0; j < prod.q.cols(); ++j)
     for (std::size_t i = 0; i < prod.q.rows(); ++i)
-      ASSERT_EQ(Codec::to_bits(prod.q(i, j)), Codec::to_bits(exact.q(i, j))) << at << " q";
+      ASSERT_EQ(prod.q(i, j).bits(), exact.q(i, j).bits()) << at << " q";
   ASSERT_EQ(prod.r.rows(), exact.r.rows()) << at;
   ASSERT_EQ(prod.r.cols(), exact.r.cols()) << at;
   for (std::size_t j = 0; j < prod.r.cols(); ++j)
     for (std::size_t i = 0; i < prod.r.rows(); ++i)
-      ASSERT_EQ(Codec::to_bits(prod.r(i, j)), Codec::to_bits(exact.r(i, j))) << at << " r";
+      ASSERT_EQ(prod.r(i, j).bits(), exact.r(i, j).bits()) << at << " r";
 }
 
 // This used to byte-compare the experiment CSV of two sweeps, one with the

@@ -61,7 +61,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 template <typename T>
 [[nodiscard]] constexpr int width() {
-  return ScalarCodec<T>::bits;
+  return T::kBits;
 }
 
 /// All encodings of T: the low width<T>() bits.

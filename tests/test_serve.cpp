@@ -76,6 +76,27 @@ TEST(ServeProtocol, RequestSerializationRoundTrips) {
   EXPECT_EQ(parsed.kind, serve::Request::Kind::stats);
 }
 
+// The daemon's defaults are the library's: an empty request describes the
+// sweep ExperimentConfig{} runs over evaluation_formats(), at the count
+// mfla_experiment runs with no --count.
+TEST(ServeProtocol, DefaultRequestIsTheLibraryDefaultSweep) {
+  const serve::SweepRequest req;
+  EXPECT_EQ(req.count, kDefaultCorpusCount);
+  EXPECT_EQ(make_journal_meta(serve::experiment_config(req), parse_format_keys(req.formats),
+                              req.count),
+            make_journal_meta(ExperimentConfig{}, api::evaluation_formats(), kDefaultCorpusCount));
+
+  serve::Request parsed;
+  std::string err;
+  ASSERT_TRUE(serve::parse_request(R"({"type":"sweep"})", parsed, err)) << err;
+  EXPECT_EQ(serve::sweep_id(parsed.sweep), serve::sweep_id(req));
+
+  for (const Which w : {Which::largest_magnitude, Which::smallest_magnitude, Which::largest_real,
+                        Which::smallest_real})
+    EXPECT_EQ(serve::which_from_name(serve::which_name(w)), w);
+  EXPECT_THROW((void)serve::which_from_name("largest"), std::invalid_argument);
+}
+
 TEST(ServeProtocol, MalformedRequestsAreRejectedWithAMessage) {
   serve::Request parsed;
   std::string err;

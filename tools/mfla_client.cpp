@@ -39,6 +39,7 @@ void print_usage(std::FILE* out) {
 
 [[noreturn]] void print_help() {
   print_usage(stdout);
+  const serve::SweepRequest defaults;
   std::printf(
       "\nSubmit one sweep to a running mfla_served and write the raw results\n"
       "CSV — byte-identical to mfla_experiment's for the same spec.\n"
@@ -47,12 +48,12 @@ void print_usage(std::FILE* out) {
       "  --stats             print the daemon's stats line and exit\n"
       "  --tenant NAME       admission-control tenant (default \"default\")\n"
       "  --corpus NAME       general|biological|infrastructure|social|miscellaneous\n"
-      "  --count N           matrices per corpus class (default 24)\n"
+      "  --count N           matrices per corpus class (default %zu)\n"
       "  --nev K / --buffer B / --restarts R / --formats keys / --seed S\n"
       "                      sweep spec, defaults matching mfla_experiment\n"
-      "  --which W           largest_magnitude (default) | smallest_magnitude |\n"
-      "                      largest_real | smallest_real\n"
-      "  --ref-tier TIER     f128_only (default) | dd_first\n"
+      "  --which W           largest_magnitude | smallest_magnitude |\n"
+      "                      largest_real | smallest_real (default %s)\n"
+      "  --ref-tier TIER     f128_only | dd_first (default %s)\n"
       "  --no-resume         ignore the server-side journal of a prior retry\n"
       "  --out prefix        CSV output prefix (default out/served)\n"
       "  --timeout-ms N      socket timeout (default 600000)\n"
@@ -61,7 +62,8 @@ void print_usage(std::FILE* out) {
       "  --help, -h          this help\n"
       "\nexit codes: 0 ok, 2 usage, 3 connection/stream failure, 4 sweep failed\n"
       "server-side, 5 rejected (overloaded/quota/draining), 6 canceled, 7\n"
-      "aborted via --abort-after-events\n");
+      "aborted via --abort-after-events\n",
+      defaults.count, defaults.which.c_str(), defaults.ref_tier.c_str());
   std::exit(0);
 }
 

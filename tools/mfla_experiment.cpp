@@ -26,8 +26,6 @@ namespace {
 
 using namespace mfla;
 
-const char* kDefaultFormats = "f16,bf16,p16,t16,f32,p32,t32,f64,p64,t64";
-
 // Exit codes, so scripts (CI, mfla_crashtest) can tell failure classes
 // apart: 0 success, 2 usage error, 3 I/O failure (journal, CSV, dataset
 // files, disk full), 4 solve failure (solver aborts recorded by the solve
@@ -72,6 +70,7 @@ void print_usage(std::FILE* out) {
 
 [[noreturn]] void print_help() {
   print_usage(stdout);
+  const ExperimentConfig defaults;
   std::printf(
       "\nRun the paper's multi-format IRAM evaluation pipeline: for every\n"
       "(matrix, format) pair, solve the partial eigenproblem in that format,\n"
@@ -85,10 +84,10 @@ void print_usage(std::FILE* out) {
       "  files...           .mtx Matrix Market files (symmetrized if needed) or\n"
       "                     .edges edge lists (converted to graph Laplacians)\n"
       "\noptions:\n"
-      "  --count N          matrices per corpus class (default 24)\n"
-      "  --nev K            eigenpairs scored per run (default 10)\n"
-      "  --buffer B         extra pairs computed for matching (default 2)\n"
-      "  --restarts R       per-format restart budget (default 80)\n"
+      "  --count N          matrices per corpus class (default %zu)\n"
+      "  --nev K            eigenpairs scored per run (default %zu)\n"
+      "  --buffer B         extra pairs computed for matching (default %zu)\n"
+      "  --restarts R       per-format restart budget (default %d)\n"
       "  --formats keys     comma-separated format keys (default\n"
       "                     %s;\n"
       "                     see --list-formats)\n"
@@ -100,13 +99,15 @@ void print_usage(std::FILE* out) {
       "                     missing runs (requires --checkpoint)\n"
       "  --ref-cache DIR    persistent cache of reference solutions; warm\n"
       "                     reruns skip the reference solves entirely\n"
-      "  --ref-tier TIER    reference arithmetic tier: f128_only (default;\n"
-      "                     every reference solve in float128) or dd_first\n"
+      "  --ref-tier TIER    reference arithmetic tier (default %s): f128_only\n"
+      "                     (every reference solve in float128) or dd_first\n"
       "                     (try double-double, certify the residual bound,\n"
       "                     promote to float128 when uncertifiable)\n"
       "  --list-formats     print the format table (key, name, bits, family)\n"
       "  --help, -h         this help\n",
-      kDefaultFormats);
+      kDefaultCorpusCount, defaults.nev, defaults.buffer, defaults.max_restarts,
+      format_keys(api::evaluation_formats()).c_str(),
+      reference_tier_name(defaults.reference_tier));
   std::exit(0);
 }
 
@@ -133,15 +134,15 @@ bool ends_with(const std::string& s, const char* suffix) {
 
 int main(int argc, char** argv) {
   std::string corpus;
+  ExperimentConfig cfg;
   std::string out_prefix = "out/experiment";
-  std::string formats_spec = kDefaultFormats;
+  std::string formats_spec = format_keys(api::evaluation_formats());
   std::string ref_cache_dir;
-  std::string ref_tier_spec = "f128_only";
+  std::string ref_tier_spec = reference_tier_name(cfg.reference_tier);
   std::string checkpoint_path;
   bool resume = false;
-  std::size_t count = 24;
-  std::size_t nev = 10, buffer = 2, threads = 0;
-  int max_restarts = 80;
+  std::size_t count = kDefaultCorpusCount;
+  std::size_t threads = 0;
   std::vector<std::string> files;
 
   for (int i = 1; i < argc; ++i) {
@@ -158,11 +159,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--count") {
       count = static_cast<std::size_t>(parse_uint("--count", next(), kMaxCorpusCount));
     } else if (arg == "--nev") {
-      nev = static_cast<std::size_t>(parse_uint("--nev", next(), kMaxEigenpairs));
+      cfg.nev = static_cast<std::size_t>(parse_uint("--nev", next(), kMaxEigenpairs));
     } else if (arg == "--buffer") {
-      buffer = static_cast<std::size_t>(parse_uint("--buffer", next(), kMaxEigenpairs));
+      cfg.buffer = static_cast<std::size_t>(parse_uint("--buffer", next(), kMaxEigenpairs));
     } else if (arg == "--restarts") {
-      max_restarts = static_cast<int>(parse_uint("--restarts", next(), kMaxRestarts));
+      cfg.max_restarts = static_cast<int>(parse_uint("--restarts", next(), kMaxRestarts));
     } else if (arg == "--threads") {
       threads = static_cast<std::size_t>(parse_uint("--threads", next(), 4096));
     } else if (arg == "--checkpoint") {
@@ -204,9 +205,8 @@ int main(int argc, char** argv) {
     return kExitUsage;
   }
 
-  ReferenceTier ref_tier;
   try {
-    ref_tier = reference_tier_from_name(ref_tier_spec);
+    cfg.reference_tier = reference_tier_from_name(ref_tier_spec);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "--ref-tier: %s\n", e.what());
     return kExitUsage;
@@ -244,8 +244,8 @@ int main(int argc, char** argv) {
   std::printf(
       "running %zu matrices x %zu formats (nev=%zu buffer=%zu restarts=%d threads=%s "
       "ref-tier=%s)\n",
-      dataset.size(), formats.size(), nev, buffer, max_restarts, threads_desc.c_str(),
-      reference_tier_name(ref_tier));
+      dataset.size(), formats.size(), cfg.nev, cfg.buffer, cfg.max_restarts,
+      threads_desc.c_str(), reference_tier_name(cfg.reference_tier));
   if (!checkpoint_path.empty()) {
     std::printf("checkpoint journal: %s%s\n", checkpoint_path.c_str(),
                 resume ? " (resuming)" : "");
@@ -258,10 +258,7 @@ int main(int argc, char** argv) {
   try {
     api::Sweep sweep = api::Sweep::over(std::move(dataset));
     sweep.formats(formats)
-        .nev(nev)
-        .buffer(buffer)
-        .restarts(max_restarts)
-        .reference_tier(ref_tier)
+        .config(cfg)
         .threads(threads)
         .cancel(&g_interrupted)
         .sink(std::make_shared<api::ProgressSink>(stderr))
@@ -325,7 +322,7 @@ int main(int argc, char** argv) {
         result.stats.reference_seconds, result.stats.reference_cache_seconds,
         result.stats.format_seconds, result.elapsed_seconds);
   }
-  if (ref_tier == ReferenceTier::dd_first) {
+  if (cfg.reference_tier == ReferenceTier::dd_first) {
     std::printf(
         "reference tier: %zu dd solves (%zu certified, %zu promoted to float128), "
         "dd %.1fs, float128 %.1fs\n",
@@ -342,8 +339,11 @@ int main(int argc, char** argv) {
       vec.push_back(build_distribution(result.results, f, true));
     }
     if (eig.empty()) continue;
-    std::printf("%s", summary_table(eig, std::to_string(bits) + "-bit eigenvalues").c_str());
-    std::printf("%s", summary_table(vec, std::to_string(bits) + "-bit eigenvectors").c_str());
+    const std::string width = std::to_string(bits) + "-bit ";
+    std::printf("%s", ascii_panel(eig, width + "eigenvalue relative errors").c_str());
+    std::printf("%s\n", summary_table(eig, width + "eigenvalues").c_str());
+    std::printf("%s", ascii_panel(vec, width + "eigenvector relative errors").c_str());
+    std::printf("%s\n", summary_table(vec, width + "eigenvectors").c_str());
     write_distribution_csv(out_prefix + "_" + std::to_string(bits) + "bit_eigenvalues.csv", eig);
     write_distribution_csv(out_prefix + "_" + std::to_string(bits) + "bit_eigenvectors.csv", vec);
   }
