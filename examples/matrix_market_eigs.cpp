@@ -9,7 +9,6 @@
 // Without arguments a small built-in demo matrix is used.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "api/api.hpp"
@@ -29,11 +28,6 @@ mfla::CooMatrix demo_matrix() {
   return a;
 }
 
-bool ends_with(const std::string& s, const char* suffix) {
-  const std::size_t n = std::strlen(suffix);
-  return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -44,15 +38,7 @@ int main(int argc, char** argv) {
   try {
     if (argc > 1) {
       name = argv[1];
-      if (ends_with(name, ".edges")) {
-        coo = graph_laplacian_pipeline(read_edge_list_file(name));
-      } else {
-        coo = read_matrix_market_file(name);
-        if (!coo.is_symmetric(1e-12)) {
-          std::printf("note: input not symmetric; applying (A + A^T)/2\n");
-          coo = symmetrize_average(squarify(coo));
-        }
-      }
+      coo = read_matrix_file(name);  // a non-symmetric .mtx becomes (A + Aᵀ)/2
     } else {
       coo = demo_matrix();
     }

@@ -220,7 +220,7 @@ class Engine {
     if (resume) {
       const JournalContents jc = read_journal(path);
       if (jc.has_meta && !(jc.meta == meta))
-        throw std::runtime_error(meta_mismatch_message(jc.meta, meta));
+        throw JournalMismatchError(meta_mismatch_message(jc.meta, meta));
       journal_has_meta = jc.has_meta;
       stats.journal_discarded_lines = jc.skipped_lines;
       // Entries whose matrix name is unknown, or whose recorded dimensions

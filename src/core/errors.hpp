@@ -32,6 +32,14 @@ class IoError : public std::runtime_error {
   explicit IoError(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// A resumed checkpoint journal whose meta line records a different sweep
+/// (nev, buffer, restarts, seed, formats or corpus size). The request, not
+/// the solver, is at fault: mfla_experiment exits with its usage code.
+class JournalMismatchError : public std::runtime_error {
+ public:
+  explicit JournalMismatchError(const std::string& what) : std::runtime_error(what) {}
+};
+
 struct ErrorPair {
   double absolute = std::numeric_limits<double>::infinity();
   double relative = std::numeric_limits<double>::infinity();

@@ -4,6 +4,9 @@
 
 #include "datasets/general_corpus.hpp"
 #include "datasets/graph_corpus.hpp"
+#include "graph/laplacian.hpp"
+#include "sparse/edge_list.hpp"
+#include "sparse/matrix_market.hpp"
 
 namespace mfla {
 
@@ -22,6 +25,13 @@ std::vector<TestMatrix> build_named_corpus(const std::string& name, std::size_t 
   throw std::invalid_argument(
       "unknown corpus '" + name +
       "' (expected general|biological|infrastructure|social|miscellaneous)");
+}
+
+CooMatrix read_matrix_file(const std::string& path) {
+  if (path.ends_with(".edges")) return graph_laplacian_pipeline(read_edge_list_file(path));
+  CooMatrix coo = read_matrix_market_file(path);
+  if (!coo.is_symmetric(1e-12)) coo = symmetrize_average(squarify(coo));
+  return coo;
 }
 
 }  // namespace mfla

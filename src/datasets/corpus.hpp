@@ -1,7 +1,7 @@
 // The built-in corpora by name: the one dispatch behind every front end
 // that takes a corpus name (mfla_experiment --corpus, the serving daemon's
 // "corpus" request field), so the same name and count always build the
-// same matrices.
+// same matrices; and the one reader of user matrix files.
 #pragma once
 
 #include <cstddef>
@@ -22,5 +22,11 @@ inline constexpr std::size_t kDefaultCorpusCount = 24;
 /// valid ones.
 [[nodiscard]] std::vector<TestMatrix> build_named_corpus(const std::string& name,
                                                          std::size_t count);
+
+/// A matrix file as the front ends assemble it: a ".edges" graph becomes
+/// its normalized Laplacian (graph_laplacian_pipeline); any other path is
+/// read as Matrix Market and, unless symmetric to 1e-12, replaced by
+/// (A + Aᵀ)/2 of its squarified form. The readers' errors propagate.
+[[nodiscard]] CooMatrix read_matrix_file(const std::string& path);
 
 }  // namespace mfla

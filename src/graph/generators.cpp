@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <set>
 #include <utility>
 #include <vector>
@@ -22,6 +23,10 @@ CooMatrix from_edges(std::uint32_t n, const std::vector<std::pair<std::uint32_t,
   a.compress();
   return a;
 }
+
+/// geometric_edges' neighbour offsets (dx, dy): the cell to the right and
+/// the three above, so each pair of adjacent cells is visited once.
+constexpr std::pair<int, int> kForwardCells[] = {{1, 0}, {-1, 1}, {0, 1}, {1, 1}};
 
 }  // namespace
 
@@ -141,21 +146,75 @@ CooMatrix grid_2d(std::uint32_t rows, std::uint32_t cols, double perturb, Rng& r
   return from_edges(n, edges);
 }
 
+std::vector<std::pair<std::uint32_t, std::uint32_t>> geometric_edges(const std::vector<double>& x,
+                                                                    const std::vector<double>& y,
+                                                                    double radius) {
+  const auto n = static_cast<std::uint32_t>(x.size());
+  const double r2 = radius * radius;
+  // g x g cells of side 1/g. The side exceeds |radius| by a relative 1e-6,
+  // far above the rounding in the distance test and in the cell index, so
+  // a pair that passes the test lies in the same or adjacent cells. At most
+  // ~n cells; one cell (all pairs) for |radius| >= 1, inf and NaN.
+  const double reach = std::abs(radius) * (1.0 + 1e-6);
+  const auto cap =
+      static_cast<std::uint32_t>(std::max(1.0, std::floor(std::sqrt(static_cast<double>(n)))));
+  std::uint32_t g = 1;
+  if (reach * cap < 1.0) {
+    g = cap;
+  } else if (reach < 1.0) {
+    g = static_cast<std::uint32_t>(1.0 / reach);
+  }
+  const auto cell = [g](double v) -> std::uint32_t {
+    const double c = v * g;
+    if (!(c > 0.0)) return 0;
+    return c < g ? static_cast<std::uint32_t>(c) : g - 1;
+  };
+  // Counting sort of the points by cell; ascending index within a cell.
+  std::vector<std::size_t> start(static_cast<std::size_t>(g) * g + 1, 0);
+  std::vector<std::size_t> cell_of(n);
+  for (std::uint32_t k = 0; k < n; ++k) {
+    cell_of[k] = static_cast<std::size_t>(cell(y[k])) * g + cell(x[k]);
+    ++start[cell_of[k] + 1];
+  }
+  for (std::size_t c = 1; c < start.size(); ++c) start[c] += start[c - 1];
+  std::vector<std::uint32_t> order(n);
+  {
+    std::vector<std::size_t> next(start.begin(), start.end() - 1);
+    for (std::uint32_t k = 0; k < n; ++k) order[next[cell_of[k]]++] = k;
+  }
+
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+  const auto test = [&](std::uint32_t a, std::uint32_t b) {
+    const std::uint32_t i = std::min(a, b), j = std::max(a, b);
+    const double dx = x[i] - x[j], dy = y[i] - y[j];
+    if (dx * dx + dy * dy <= r2) edges.emplace_back(i, j);
+  };
+  for (std::uint32_t cy = 0; cy < g; ++cy) {
+    for (std::uint32_t cx = 0; cx < g; ++cx) {
+      const std::size_t c = static_cast<std::size_t>(cy) * g + cx;
+      for (std::size_t p = start[c]; p < start[c + 1]; ++p) {
+        for (std::size_t q = p + 1; q < start[c + 1]; ++q) test(order[p], order[q]);
+      }
+      for (const auto& [ox, oy] : kForwardCells) {
+        const std::int64_t nx = std::int64_t{cx} + ox, ny = std::int64_t{cy} + oy;
+        if (nx < 0 || nx >= g || ny >= g) continue;
+        const std::size_t d = static_cast<std::size_t>(ny) * g + static_cast<std::size_t>(nx);
+        for (std::size_t p = start[c]; p < start[c + 1]; ++p) {
+          for (std::size_t q = start[d]; q < start[d + 1]; ++q) test(order[p], order[q]);
+        }
+      }
+    }
+  }
+  return edges;
+}
+
 CooMatrix random_geometric(std::uint32_t n, double radius, Rng& rng) {
   std::vector<double> x(n), y(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     x[i] = rng.uniform();
     y[i] = rng.uniform();
   }
-  const double r2 = radius * radius;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    for (std::uint32_t j = i + 1; j < n; ++j) {
-      const double dx = x[i] - x[j], dy = y[i] - y[j];
-      if (dx * dx + dy * dy <= r2) edges.emplace_back(i, j);
-    }
-  }
-  return from_edges(n, edges);
+  return from_edges(n, geometric_edges(x, y, radius));
 }
 
 CooMatrix stochastic_block(std::uint32_t n, std::uint32_t blocks, double p_in, double p_out,

@@ -10,6 +10,8 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "sparse/coo.hpp"
 #include "support/rng.hpp"
@@ -34,6 +36,14 @@ namespace mfla {
 
 /// Random geometric graph in the unit square with connection radius r.
 [[nodiscard]] CooMatrix random_geometric(std::uint32_t n, double radius, Rng& rng);
+
+/// The pairs (i, j), i < j, of points (x[k], y[k]) in the unit square that
+/// pass dx*dx + dy*dy <= radius*radius with dx = x[i] - x[j] and
+/// dy = y[i] - y[j]: random_geometric's edge set, in no particular order.
+/// A uniform cell grid tests each point against its own and the adjacent
+/// cells only, so the work is linear in n for radius ~ 1/sqrt(n).
+[[nodiscard]] std::vector<std::pair<std::uint32_t, std::uint32_t>> geometric_edges(
+    const std::vector<double>& x, const std::vector<double>& y, double radius);
 
 /// Stochastic block model with `blocks` equal communities.
 [[nodiscard]] CooMatrix stochastic_block(std::uint32_t n, std::uint32_t blocks, double p_in,

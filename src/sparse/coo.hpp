@@ -33,6 +33,8 @@ class CooMatrix {
     if (c >= cols_) cols_ = c + 1;
   }
 
+  /// Resize without touching the triplets; the new shape must still hold
+  /// every entry.
   void set_shape(std::size_t rows, std::size_t cols) {
     rows_ = rows;
     cols_ = cols;
@@ -57,14 +59,30 @@ class CooMatrix {
     triplets_.resize(out);
   }
 
+  /// Are the triplets what compress() leaves: sorted by (row, col) with no
+  /// repeated position? (add() never stores a zero.) One linear pass.
+  [[nodiscard]] bool is_compressed() const noexcept {
+    for (std::size_t k = 1; k < triplets_.size(); ++k) {
+      const Triplet& a = triplets_[k - 1];
+      const Triplet& b = triplets_[k];
+      if (a.row > b.row || (a.row == b.row && a.col >= b.col)) return false;
+    }
+    return true;
+  }
+
+  /// Aᵀ by a counting sort on the column, stable within each column, so a
+  /// compressed matrix transposes to a compressed one.
   [[nodiscard]] CooMatrix transposed() const {
     CooMatrix t(cols_, rows_);
-    t.reserve(triplets_.size());
-    for (const auto& e : triplets_) t.add(e.col, e.row, e.value);
+    std::vector<std::size_t> start(cols_ + 1, 0);
+    for (const auto& e : triplets_) ++start[e.col + 1];
+    for (std::size_t c = 0; c < cols_; ++c) start[c + 1] += start[c];
+    t.triplets_.resize(triplets_.size());
+    for (const auto& e : triplets_) t.triplets_[start[e.col]++] = {e.col, e.row, e.value};
     return t;
   }
 
-  /// Is the (compressed) matrix symmetric to within `tol`?
+  /// Is the matrix, compressed, symmetric to within `tol`?
   [[nodiscard]] bool is_symmetric(double tol = 0.0) const;
 
  private:
@@ -74,11 +92,13 @@ class CooMatrix {
 
 inline bool CooMatrix::is_symmetric(double tol) const {
   if (rows_ != cols_) return false;
-  CooMatrix a = *this;
-  a.compress();
-  CooMatrix b = transposed();
-  b.compress();
-  const auto& ta = a.triplets();
+  if (!is_compressed()) {
+    CooMatrix a = *this;
+    a.compress();
+    return a.is_symmetric(tol);
+  }
+  const CooMatrix b = transposed();
+  const auto& ta = triplets_;
   const auto& tb = b.triplets();
   if (ta.size() != tb.size()) return false;
   for (std::size_t i = 0; i < ta.size(); ++i) {

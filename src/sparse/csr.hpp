@@ -24,18 +24,23 @@ class CsrMatrix {
  public:
   CsrMatrix() = default;
 
+  /// CSR of `coo` compressed; triplets that already are (the output of
+  /// compress() or of the graph pipeline) are read in place.
   [[nodiscard]] static CsrMatrix from_coo(const CooMatrix& coo) {
-    CooMatrix c = coo;
-    c.compress();
+    if (!coo.is_compressed()) {
+      CooMatrix c = coo;
+      c.compress();
+      return from_coo(c);
+    }
     CsrMatrix m;
-    m.rows_ = c.rows();
-    m.cols_ = c.cols();
+    m.rows_ = coo.rows();
+    m.cols_ = coo.cols();
     m.row_ptr_.assign(m.rows_ + 1, 0);
-    m.col_idx_.reserve(c.nnz());
-    m.values_.reserve(c.nnz());
-    for (const auto& t : c.triplets()) ++m.row_ptr_[t.row + 1];
+    m.col_idx_.reserve(coo.nnz());
+    m.values_.reserve(coo.nnz());
+    for (const auto& t : coo.triplets()) ++m.row_ptr_[t.row + 1];
     for (std::size_t i = 0; i < m.rows_; ++i) m.row_ptr_[i + 1] += m.row_ptr_[i];
-    for (const auto& t : c.triplets()) {
+    for (const auto& t : coo.triplets()) {
       m.col_idx_.push_back(t.col);
       m.values_.push_back(NumTraits<T>::from_double(t.value));
     }

@@ -1,7 +1,11 @@
 // Graph generator and Laplacian pipeline tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "dense/jacobi.hpp"
 #include "dense/matrix.hpp"
@@ -145,6 +149,103 @@ TEST(Generators, AddHubsRaisesMaxDegree) {
   EXPECT_EQ(g.rows(), 52u);
   const auto deg = vertex_degrees(g);
   EXPECT_GE(deg[50], 20.0);  // hub degree (minus duplicate draws)
+}
+
+// ---- random_geometric against the all-pairs loop ------------------------------
+
+using Edges = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+
+/// The O(n^2) oracle: every pair i < j, tested as random_geometric tests it.
+Edges all_pairs_edges(const std::vector<double>& x, const std::vector<double>& y,
+                      double radius) {
+  const double r2 = radius * radius;
+  Edges edges;
+  for (std::uint32_t i = 0; i < x.size(); ++i) {
+    for (std::uint32_t j = i + 1; j < x.size(); ++j) {
+      const double dx = x[i] - x[j], dy = y[i] - y[j];
+      if (dx * dx + dy * dy <= r2) edges.emplace_back(i, j);
+    }
+  }
+  return edges;
+}
+
+Edges sorted(Edges e) {
+  std::sort(e.begin(), e.end());
+  return e;
+}
+
+const double kRadii[] = {0.0, 1e-3, 0.05, 0.3, 0.5, 0.99, 1.5, -0.1,
+                         std::numeric_limits<double>::quiet_NaN()};
+
+TEST(Generators, RandomGeometricMatchesAllPairs) {
+  for (const std::uint32_t n : {0u, 1u, 2u, 50u, 500u}) {
+    for (const double radius : kRadii) {
+      const std::uint64_t seed = 0x9e0 + n;
+      Rng draws(seed);
+      std::vector<double> x(n), y(n);
+      for (std::uint32_t i = 0; i < n; ++i) {
+        x[i] = draws.uniform();
+        y[i] = draws.uniform();
+      }
+      const Edges expected = all_pairs_edges(x, y, radius);
+      EXPECT_EQ(sorted(geometric_edges(x, y, radius)), expected) << n << " " << radius;
+      // The generator: same draws, the same edge set as a symmetric 0/1
+      // adjacency.
+      CooMatrix adj(n, n);
+      for (const auto& [i, j] : expected) {
+        adj.add(i, j, 1.0);
+        adj.add(j, i, 1.0);
+      }
+      adj.compress();
+      Rng rng(seed);
+      const CooMatrix g = random_geometric(n, radius, rng);
+      EXPECT_EQ(g.rows(), adj.rows());
+      ASSERT_EQ(g.nnz(), adj.nnz()) << n << " " << radius;
+      for (std::size_t k = 0; k < g.nnz(); ++k) {
+        EXPECT_EQ(g.triplets()[k].row, adj.triplets()[k].row);
+        EXPECT_EQ(g.triplets()[k].col, adj.triplets()[k].col);
+        EXPECT_EQ(g.triplets()[k].value, adj.triplets()[k].value);
+      }
+    }
+  }
+}
+
+TEST(Generators, GeometricEdgesOnCellBoundaries) {
+  // Every k/m for m <= 40 and its two floating-point neighbours. Both point
+  // sets below have at most 40^2 cells (sqrt(n) <= 40 per side), so
+  // whatever the cell side 1/g, points sit exactly on, just below and just
+  // above its boundaries, 0 and 1 included.
+  std::vector<double> v;
+  for (int m = 1; m <= 40; ++m) {
+    for (int k = 0; k <= m; ++k) {
+      const double b = static_cast<double>(k) / m;
+      v.push_back(b);
+      v.push_back(std::nextafter(b, -1.0));
+      v.push_back(std::nextafter(b, 2.0));
+    }
+  }
+  std::sort(v.begin(), v.end());
+  v.erase(std::unique(v.begin(), v.end()), v.end());
+  for (const double radius : kRadii) {
+    // The lattice: both coordinates on boundaries.
+    std::vector<double> x, y;
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      x.push_back(v[i]);
+      y.push_back(v[(7 * i + 3) % v.size()]);
+    }
+    EXPECT_EQ(sorted(geometric_edges(x, y, radius)), all_pairs_edges(x, y, radius)) << radius;
+    // Pairs |radius| apart along x, from a boundary.
+    x.clear();
+    y.clear();
+    for (std::size_t i = 0; i < v.size(); i += 5) {
+      if (!(v[i] + std::abs(radius) <= 1.0)) continue;
+      x.push_back(v[i]);
+      y.push_back(0.375);
+      x.push_back(v[i] + std::abs(radius));
+      y.push_back(0.375);
+    }
+    EXPECT_EQ(sorted(geometric_edges(x, y, radius)), all_pairs_edges(x, y, radius)) << radius;
+  }
 }
 
 // ---- Pipeline stages ------------------------------------------------------------

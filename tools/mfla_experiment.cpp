@@ -13,7 +13,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -125,11 +124,6 @@ std::uint64_t parse_uint(const char* option, const std::string& value, std::uint
   return cli::parse_uint(option, value, max, print_usage, kExitUsage);
 }
 
-bool ends_with(const std::string& s, const char* suffix) {
-  const std::size_t n = std::strlen(suffix);
-  return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -216,16 +210,8 @@ int main(int argc, char** argv) {
   std::vector<TestMatrix> dataset;
   try {
     if (!corpus.empty()) dataset = build_named_corpus(corpus, count);
-    for (const auto& path : files) {
-      CooMatrix coo;
-      if (ends_with(path, ".edges")) {
-        coo = graph_laplacian_pipeline(read_edge_list_file(path));
-      } else {
-        coo = read_matrix_market_file(path);
-        if (!coo.is_symmetric(1e-12)) coo = symmetrize_average(squarify(coo));
-      }
-      dataset.push_back(make_test_matrix(path, "user", "user", coo));
-    }
+    for (const auto& path : files)
+      dataset.push_back(make_test_matrix(path, "user", "user", read_matrix_file(path)));
   } catch (const std::invalid_argument& e) {
     // An unknown corpus name; the readers report bad files as runtime_error.
     std::fprintf(stderr, "error: %s\n", e.what());
@@ -273,6 +259,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "\nI/O error: %s\n", e.what());
     return kExitIo;
   } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "\nerror: %s\n", e.what());
+    return kExitUsage;
+  } catch (const JournalMismatchError& e) {
+    // --resume against a journal of another sweep: the flags are wrong.
     std::fprintf(stderr, "\nerror: %s\n", e.what());
     return kExitUsage;
   } catch (const std::exception& e) {
